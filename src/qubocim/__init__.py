@@ -10,7 +10,7 @@ compute-in-memory crossbar simulator with quantization and device noise.
 from .anneal import (AnnealConfig, AnnealTrace, derive_seed, flip_bits,
                      mesa_solve, run_trials, sa_solve, success_rate)
 from .compress import (CompressedQubo, CompressionStats, compress,
-                       compressed_energy, split_signs)
+                       compressed_energy, decompress, split_signs)
 from .convert import (ColoringEncoding, ColoringReport, FactorizationEncoding,
                       Graph, MaxCutEncoding, assignment_for_factors,
                       coloring_to_qubo, cut_value, decode_coloring,

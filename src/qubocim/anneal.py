@@ -7,9 +7,15 @@ move), the temperature resets and the next epoch starts from the best
 solution seen so far, so the search keeps converging instead of wandering at
 low temperature.
 
+The solvers see the oracle through an evaluator (``reset`` / ``peek`` /
+``commit``, see :class:`qubocim.qubo.FullEvaluator`): an oracle with an
+``evaluator()`` method supplies its own delta evaluator, and any other
+callable is evaluated in full on every candidate.
+
 Randomness comes from numpy's PCG64 generator with explicit 64-bit seeding;
-identical (oracle, config, seed) triples reproduce traces bit for bit on any
-platform.  Independent trials derive per-trial seeds from
+identical (oracle, config, seed) triples reproduce traces bit for bit on one
+machine and numpy/BLAS build (float reductions may round differently
+elsewhere).  Independent trials derive per-trial seeds from
 ``(base_seed, trial_index)`` so results do not depend on scheduling.
 """
 
@@ -23,7 +29,7 @@ from typing import Callable, IO
 import numpy as np
 
 from .errors import ConfigError
-from .qubo import QuboProblem, exact_oracle
+from .qubo import FullEvaluator, QuboProblem, exact_oracle
 
 Oracle = Callable[[np.ndarray], float]
 
@@ -116,13 +122,18 @@ class AnnealTrace:
 
     def write_csv(self, stream: IO[str]):
         stream.write(self.CSV_HEADER + "\n")
-        for row in range(self.iters_used):
-            stream.write(
-                f"{self.iteration[row]},{self.epoch[row]},"
-                f"{float(self.e_new[row])!r},{float(self.e_o[row])!r},"
-                f"{float(self.e_best[row])!r},{int(self.accepted[row])},"
-                f"{int(self.trapped[row])},{float(self.temperature[row])!r},"
-                f"{int(self.flips[row])}\n")
+        n = self.iters_used
+
+        def column(values, dtype):
+            return np.asarray(values[:n], dtype=dtype).tolist()
+
+        rows = zip(column(self.iteration, np.int64), column(self.epoch, np.int64),
+                   column(self.e_new, np.float64), column(self.e_o, np.float64),
+                   column(self.e_best, np.float64), column(self.accepted, np.int64),
+                   column(self.trapped, np.int64), column(self.temperature, np.float64),
+                   column(self.flips, np.int64))
+        stream.writelines(f"{it},{ep},{en!r},{eo!r},{eb!r},{acc},{trap},{t!r},{k}\n"
+                          for it, ep, en, eo, eb, acc, trap, t, k in rows)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -155,15 +166,23 @@ class _Recorder:
         )
 
 
+def flip_indices(n: int, k: int, rng: np.random.Generator) -> list[int]:
+    """``k`` distinct indices below ``n``, uniformly chosen."""
+    if k == 1:
+        return [int(rng.integers(n))]
+    return rng.choice(n, size=k, replace=False).tolist()
+
+
 def flip_bits(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Copy of ``x`` with ``k`` distinct uniformly chosen bits toggled."""
     y = x.copy()
-    if k == 1:
-        y[int(rng.integers(len(x)))] ^= 1
-    else:
-        idx = rng.choice(len(x), size=k, replace=False)
-        y[idx] ^= 1
+    y[flip_indices(len(x), k, rng)] ^= 1
     return y
+
+
+def _evaluator(oracle: Oracle):
+    make = getattr(oracle, "evaluator", None)
+    return make() if make is not None else FullEvaluator(oracle)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -179,16 +198,14 @@ def _make_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.Generator(np.random.PCG64(main)), np.random.Generator(np.random.PCG64(cal))
 
 
-def _initial_temperature(cfg: AnnealConfig, oracle: Oracle, n: int,
+def _initial_temperature(cfg: AnnealConfig, evaluator, n: int,
                          rng: np.random.Generator) -> float:
     if cfg.t0 is not None:
         return float(cfg.t0)
     deltas = np.empty(CALIBRATION_SAMPLES)
     for i in range(CALIBRATION_SAMPLES):
-        x = rng.integers(0, 2, size=n, dtype=np.int8)
-        y = x.copy()
-        y[int(rng.integers(n))] ^= 1
-        deltas[i] = oracle(y) - oracle(x)
+        e = evaluator.reset(rng.integers(0, 2, size=n, dtype=np.int8))
+        deltas[i] = evaluator.peek(flip_indices(n, 1, rng)) - e
     spread = float(np.std(deltas))
     return spread if spread > 0 else 1.0
 
@@ -218,10 +235,11 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
     alpha = cfg.resolved_alpha(n)
     count_max = cfg.resolved_count_max(n)
     rng, cal_rng = _make_rngs(cfg.seed)
-    t0 = _initial_temperature(cfg, oracle, n, cal_rng)
+    evaluator = _evaluator(oracle)
+    t0 = _initial_temperature(cfg, evaluator, n, cal_rng)
 
     x_cur = rng.integers(0, 2, size=n, dtype=np.int8)
-    e_o = float(oracle(x_cur))
+    e_o = evaluator.reset(x_cur)
     x_best = x_cur.copy()
     e_best = e_o
 
@@ -230,14 +248,14 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
     epoch = 0
     flips = cfg.flip_base
     wide_flips = min(n, cfg.flip_base + 1)
-    candidate = flip_bits(x_cur, flips, rng)
+    candidate = flip_indices(n, flips, rng)
     last_flips = flips
 
     recorder = _Recorder()
     iters = 0
     while iters < cfg.max_iters:
         iters += 1
-        e_new = float(oracle(candidate))
+        e_new = evaluator.peek(candidate)
         e_ref = e_o  # energy the candidate is judged against; recorded as E_o
         accepted = False
         if e_new < e_o - cfg.eps_trap:
@@ -247,11 +265,12 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
         else:
             accepted = _metropolis_accept(e_new - e_o, temperature, rng)
         if accepted:
-            x_cur = candidate
+            evaluator.commit()
+            x_cur[candidate] ^= 1
             e_o = e_new
             trap_count = 0
             if e_new < e_best:
-                x_best = candidate.copy()
+                x_best = x_cur.copy()
                 e_best = e_new
         else:
             trap_count += 1  # trajectory stagnant this iteration
@@ -272,11 +291,11 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
             trap_count = 0
             flips = cfg.flip_base
             x_cur = x_best.copy()
-            e_o = e_best
-            candidate = flip_bits(x_cur, flips, rng)
+            e_o = evaluator.reset(x_cur, e_best)
+            candidate = flip_indices(n, flips, rng)
             last_flips = flips
         else:
-            candidate = flip_bits(x_cur, flips, rng)
+            candidate = flip_indices(n, flips, rng)
             last_flips = flips
             temperature *= alpha
 
@@ -290,24 +309,26 @@ def sa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, flo
     cfg.validate(n)
     alpha = cfg.resolved_alpha(n)
     rng, cal_rng = _make_rngs(cfg.seed)
-    temperature = _initial_temperature(cfg, oracle, n, cal_rng)
+    evaluator = _evaluator(oracle)
+    temperature = _initial_temperature(cfg, evaluator, n, cal_rng)
 
     x_cur = rng.integers(0, 2, size=n, dtype=np.int8)
-    e_o = float(oracle(x_cur))
+    e_o = evaluator.reset(x_cur)
     x_best = x_cur.copy()
     e_best = e_o
 
     recorder = _Recorder()
     for iters in range(1, cfg.max_iters + 1):
-        candidate = flip_bits(x_cur, cfg.flip_base, rng)
-        e_new = float(oracle(candidate))
+        candidate = flip_indices(n, cfg.flip_base, rng)
+        e_new = evaluator.peek(candidate)
         e_ref = e_o
         accepted = e_new <= e_o or _metropolis_accept(e_new - e_o, temperature, rng)
         if accepted:
-            x_cur = candidate
+            evaluator.commit()
+            x_cur[candidate] ^= 1
             e_o = e_new
             if e_new < e_best:
-                x_best = candidate.copy()
+                x_best = x_cur.copy()
                 e_best = e_new
         recorder.add(iters, 0, e_new, e_ref, e_best, accepted, False,
                      temperature, cfg.flip_base)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import anneal, convert, crossbar, qubo
-from .compress import CompressedQubo, compress as compress_problem
+from .compress import CompressedQubo, compress as compress_problem, decompress
 from .compress import from_text as _compress_from_text
 from .compress import to_text as compressed_to_text
 from .errors import CapacityError, ConfigError, ParseError, QubocimError
@@ -180,18 +180,18 @@ def _anneal_config(rc: RunConfig, eps_default: float) -> anneal.AnnealConfig:
         flip_base=rc.flip_base, adaptive_flips=rc.adaptive_flips, seed=rc.seed)
 
 
-def _build_oracle(rc: RunConfig, instance: Instance):
-    """Returns (oracle, compression stats or None, description, default eps_trap)."""
+def _build_oracle(rc: RunConfig, instance: Instance, exact: qubo.QuboProblem):
+    """Returns (oracle, compression stats or None, description, default eps_trap).
+
+    ``exact`` is the instance's QUBO; the exact oracle evaluates it directly,
+    since compression preserves every coefficient.
+    """
     compressed = instance.compressed
     stats = None
     if compressed is None and (rc.compress or rc.oracle == "hw"):
         compressed, stats = compress_problem(instance.problem)
     if rc.oracle == "exact":
-        if compressed is not None:
-            oracle = CompressedExactOracle(compressed)
-        else:
-            oracle = qubo.exact_oracle(instance.problem)
-        return oracle, stats, {"type": "exact"}, 1e-9
+        return qubo.exact_oracle(exact), stats, {"type": "exact"}, 1e-9
     if rc.oracle != "hw":
         raise ConfigError(f"unknown oracle {rc.oracle!r}")
     dev = crossbar.DeviceParams(i_on_rel_sigma=rc.sigma, i_off_ratio=rc.off_ratio,
@@ -213,22 +213,6 @@ def _solve_trial(args):
     started = time.perf_counter()
     x, e_best, trace = solver(oracle, n, cfg)
     return index, x, e_best, trace, time.perf_counter() - started
-
-
-class CompressedExactOracle:
-    """Exact energies evaluated through the compressed bilinear form."""
-
-    def __init__(self, compressed: CompressedQubo):
-        self.compressed = compressed
-        self.n = compressed.source_n
-        self._rows = np.array(compressed.row_vars, dtype=np.intp)
-        self._cols = np.array(compressed.col_vars, dtype=np.intp)
-
-    def __call__(self, x) -> float:
-        bits = np.asarray(x, dtype=np.float64)
-        c = self.compressed
-        return float(c.constant + bits @ c.linear
-                     + bits[self._rows] @ c.qprime @ bits[self._cols])
 
 
 def cmd_convert(rc: RunConfig) -> int:
@@ -283,17 +267,19 @@ def _resolve_optimum(rc: RunConfig, instance: Instance) -> float | None:
 
 
 def run_solve(rc: RunConfig, out_dir: Path) -> dict:
+    if rc.trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {rc.trials}")
+    if rc.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {rc.jobs}")
     instance = build_instance(rc)
-    oracle, stats, oracle_desc, eps_default = _build_oracle(rc, instance)
+    exact = instance.problem if instance.problem is not None else decompress(instance.compressed)
+    oracle, stats, oracle_desc, eps_default = _build_oracle(rc, instance, exact)
     cfg = _anneal_config(rc, eps_default)
     cfg.validate(instance.n_vars)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     optimum = _resolve_optimum(rc, instance)
-    if instance.problem is not None:
-        score = qubo.exact_oracle(instance.problem)
-    else:
-        score = CompressedExactOracle(instance.compressed)
+    score = qubo.exact_oracle(exact)
     if rc.solver not in ("mesa", "sa"):
         raise ConfigError(f"unknown solver {rc.solver!r}")
 

@@ -52,6 +52,8 @@ class CompressedQubo:
         lin = np.asarray(self.linear, dtype=np.float64).copy()
         if lin.shape != (self.source_n,):
             raise DimensionError(f"linear must have length {self.source_n}")
+        if any(not 0 <= v < self.source_n for v in (*self.row_vars, *self.col_vars)):
+            raise DimensionError(f"row or column variable outside 0..{self.source_n - 1}")
         qp.flags.writeable = False
         lin.flags.writeable = False
         object.__setattr__(self, "qprime", qp)
@@ -203,6 +205,25 @@ def compress(q: QuboProblem) -> tuple[CompressedQubo, CompressionStats]:
     return compressed, stats
 
 
+def decompress(c: CompressedQubo) -> QuboProblem:
+    """The QUBO a compressed form evaluates, coefficients back in canonical slots.
+
+    Lossless on the output of :func:`compress`: each pair keeps exactly one
+    live slot, so no two entries merge and ``decompress(compress(q))`` has
+    the coefficients of ``q``.  Mirror entries of a hand-written form are
+    summed, and a diagonal entry joins ``linear``, as the energy requires.
+    """
+    linear = np.array(c.linear)
+    terms = []
+    for a, b in zip(*np.nonzero(c.qprime)):
+        i, j, value = c.row_vars[a], c.col_vars[b], float(c.qprime[a, b])
+        if i == j:
+            linear[i] += value
+        else:
+            terms.append(((i, j), value))
+    return QuboProblem(c.source_n, terms, linear, c.constant)
+
+
 def compressed_energy(c: CompressedQubo, x) -> float:
     """Energy of a full-length assignment under the rectangular form."""
     bits = as_bits(x, c.source_n).astype(np.float64)
@@ -271,4 +292,6 @@ def from_text(text: str) -> CompressedQubo:
     if len(row_vars) != p or len(col_vars) != qn or len(matrix_rows) != p:
         raise ParseError("index or matrix dimensions disagree with header")
     qprime = np.array(matrix_rows, dtype=np.float64).reshape(p, qn)
+    if not (np.isfinite(qprime).all() and np.isfinite(linear).all() and np.isfinite(constant)):
+        raise ParseError("non-finite coefficient")
     return CompressedQubo(tuple(row_vars), tuple(col_vars), qprime, linear, constant, n)

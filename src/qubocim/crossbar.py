@@ -25,7 +25,7 @@ import numpy as np
 
 from .compress import CompressedQubo, split_signs
 from .errors import ConfigError, DimensionError, EncodingError
-from .qubo import as_bits
+from .qubo import FullEvaluator, as_bits
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,26 @@ class AdcParams:
             raise ConfigError("adc bits must be >= 1")
         if self.full_scale is not None and self.full_scale <= 0:
             raise ConfigError("full_scale must be positive")
+
+    def full_scale_for(self, rows: int, i_on_mean: float) -> float:
+        """Full-scale current of a tile band with ``rows`` physical rows."""
+        return self.full_scale if self.full_scale is not None else i_on_mean * rows
+
+    def read(self, currents: np.ndarray, full_scale: float,
+             i_on_mean: float) -> tuple[np.ndarray, np.ndarray]:
+        """Column currents to (ADC codes, cell counts), elementwise.
+
+        A current is clamped to ``[0, full_scale]``, rounded to one of
+        ``2**bits - 1`` uniform steps, and the code is scaled back to the
+        nearest integer cell count.  Without quantization (``bits=None``)
+        codes and counts are both the current in units of ``i_on_mean``.
+        """
+        if self.bits is None:
+            counts = currents / i_on_mean
+            return counts, counts
+        levels = (1 << self.bits) - 1
+        codes = np.clip(np.rint(currents / full_scale * levels), 0, levels)
+        return codes, np.rint(codes * full_scale / (levels * i_on_mean))
 
 
 @dataclass(frozen=True)
@@ -134,6 +154,17 @@ class CrossbarStack:
     scale: float
     tile_rows: int = 32
     tile_cols: int = 32
+
+    def bands(self) -> list[tuple[int, int]]:
+        """Physical row ranges ``[r0, r1)`` of the tile bands, top to bottom."""
+        n_phys = len(self.row_map)
+        return [(r0, min(r0 + self.tile_rows, n_phys))
+                for r0 in range(0, n_phys, self.tile_rows)]
+
+    @property
+    def band_rows(self) -> int:
+        """Physical rows of the first, tallest band (at least 1)."""
+        return min(self.tile_rows, max(len(self.row_map), 1))
 
 
 def _sample_on_currents(shape: tuple[int, int], dev: DeviceParams,
@@ -229,29 +260,19 @@ def vmv(stack: CrossbarStack, x_h, x_v, adc: AdcParams = AdcParams()) -> tuple[f
     active_cols = np.flatnonzero(xv == 1)
     diagnostics = {"currents": [], "codes": [], "counts": [], "active_cols": active_cols}
     total = 0.0
-    n_phys = len(stack.row_map)
     for plane in stack.planes:
         plane_currents = []
         plane_codes = []
         plane_counts = []
         plane_sum = 0.0
-        for r0 in range(0, n_phys, stack.tile_rows):
-            r1 = min(r0 + stack.tile_rows, n_phys)
-            rows_here = r1 - r0
+        for r0, r1 in stack.bands():
             act = active_rows[r0:r1]
             if active_cols.size:
                 currents = act.astype(np.float64) @ plane.cell_current[r0:r1][:, active_cols]
             else:
                 currents = np.zeros(0)
-            full_scale = adc.full_scale if adc.full_scale is not None \
-                else stack.i_on_mean * rows_here
-            if adc.bits is None:
-                counts = currents / stack.i_on_mean
-                codes = counts
-            else:
-                levels = (1 << adc.bits) - 1
-                codes = np.clip(np.rint(currents / full_scale * levels), 0, levels)
-                counts = np.rint(codes * full_scale / (levels * stack.i_on_mean))
+            full_scale = adc.full_scale_for(r1 - r0, stack.i_on_mean)
+            codes, counts = adc.read(currents, full_scale, stack.i_on_mean)
             plane_sum += float(counts.sum())
             plane_currents.append(currents)
             plane_codes.append(codes)
@@ -273,7 +294,8 @@ class HwOracle:
 
     Plane cell currents are stacked into one matrix per tile band at
     construction so an evaluation is a single matvec per band; outputs are
-    identical to :func:`vmv` on the same stack.
+    identical to :func:`vmv` on the same stack.  :meth:`evaluator` gives the
+    solver delta evaluation that reproduces ``__call__`` bit for bit.
     """
 
     def __init__(self, compressed: CompressedQubo, stack: CrossbarStack, adc: AdcParams):
@@ -287,45 +309,126 @@ class HwOracle:
         self._linear = np.asarray(compressed.linear)
         self._constant = compressed.constant
         self._weights = np.array([p.sign * p.weight for p in stack.planes])
-        n_phys = len(stack.row_map)
         self._bands = []
-        for r0 in range(0, n_phys, stack.tile_rows):
-            r1 = min(r0 + stack.tile_rows, n_phys)
+        for r0, r1 in stack.bands():
             stacked = np.concatenate([p.cell_current[r0:r1] for p in stack.planes], axis=1)
-            full_scale = adc.full_scale if adc.full_scale is not None \
-                else stack.i_on_mean * (r1 - r0)
-            self._bands.append((r0, r1, stacked, full_scale))
+            self._bands.append((r0, r1, stacked, adc.full_scale_for(r1 - r0, stack.i_on_mean)))
+        # For delta evaluation: the bands each variable drives as a row
+        # variable, and its column index (-1 when it is not a column variable).
+        self._var_bands: list[list[int]] = [[] for _ in range(self.n)]
+        for r, var in enumerate(self._phys_rows.tolist()):
+            band = r // stack.tile_rows
+            if band not in self._var_bands[var]:
+                self._var_bands[var].append(band)
+        self._col_of = np.full(self.n, -1, dtype=np.intp)
+        self._col_of[self._cols] = np.arange(len(self._cols))
 
     @property
     def energy_lsb(self) -> float:
         """Energy value of one ADC code step on a unit-weight plane (0 if ideal)."""
         if self.adc.bits is None:
             return 0.0
-        rows_here = min(self.stack.tile_rows, max(len(self.stack.row_map), 1))
-        full_scale = self.adc.full_scale if self.adc.full_scale is not None \
-            else self.stack.i_on_mean * rows_here
+        full_scale = self.adc.full_scale_for(self.stack.band_rows, self.stack.i_on_mean)
         return self.stack.scale * full_scale / (((1 << self.adc.bits) - 1) * self.stack.i_on_mean)
 
-    def __call__(self, x) -> float:
+    def _bits(self, x) -> np.ndarray:
         bits = np.asarray(x, dtype=np.int8)
         if bits.shape != (self.n,):
             raise DimensionError(f"expected length {self.n}, got shape {bits.shape}")
-        n_planes = len(self.stack.planes)
-        q = self.stack.n_cols
-        act_rows = bits[self._phys_rows].astype(np.float64)
-        col_mask = bits[self._cols] == 1
-        total = np.zeros(n_planes)
-        for r0, r1, stacked, full_scale in self._bands:
-            currents = (act_rows[r0:r1] @ stacked).reshape(n_planes, q)[:, col_mask]
-            if self.adc.bits is None:
-                counts = currents / self.stack.i_on_mean
-            else:
-                levels = (1 << self.adc.bits) - 1
-                codes = np.clip(np.rint(currents / full_scale * levels), 0, levels)
-                counts = np.rint(codes * full_scale / (levels * self.stack.i_on_mean))
-            total += counts.sum(axis=1)
+        return bits
+
+    def _currents(self, band, act_rows) -> np.ndarray:
+        """(planes, columns) currents of one band, every column active.
+
+        ``act_rows`` holds the row activations (0.0 or 1.0) of that band.
+        """
+        return (act_rows @ band[2]).reshape(len(self._weights), self.stack.n_cols)
+
+    def _energy(self, bits, total) -> float:
         bilinear = self.stack.scale * float(self._weights @ total)
         return float(bilinear + bits.astype(np.float64) @ self._linear + self._constant)
+
+    def __call__(self, x) -> float:
+        bits = self._bits(x)
+        act_rows = bits[self._phys_rows].astype(np.float64)
+        col_mask = bits[self._cols] == 1
+        total = np.zeros(len(self._weights))
+        for band in self._bands:
+            currents = self._currents(band, act_rows[band[0]:band[1]])[:, col_mask]
+            total += self.adc.read(currents, band[3], self.stack.i_on_mean)[1].sum(axis=1)
+        return self._energy(bits, total)
+
+    def evaluator(self):
+        """Per-run evaluator for the solver (see :class:`qubocim.qubo.FullEvaluator`).
+
+        Delta evaluation needs integer counts, so an ideal ADC
+        (``bits=None``) evaluates in full; so does a single-band array, where
+        every row flip re-reads the whole array anyway.
+        """
+        if self.adc.bits is None or len(self._bands) == 1:
+            return FullEvaluator(self)
+        return HwEvaluator(self)
+
+
+class HwEvaluator:
+    """Delta evaluation of a multi-band :class:`HwOracle` with a quantizing ADC.
+
+    The integer cell counts of every band, plane and column are cached, all
+    columns included.  A peek re-reads only the bands that hold a flipped row
+    variable, with the matvec and readout of ``__call__``, and adds or
+    removes the cached column sums of flipped column variables; the linear
+    term is recomputed in full.  Counts are integers, so every sum is exact
+    whatever its order and each energy equals ``oracle(y)`` bit for bit.
+    """
+
+    def __init__(self, oracle: HwOracle):
+        self._oracle = oracle
+        self._counts = np.empty((len(oracle._bands), len(oracle._weights), oracle.stack.n_cols))
+
+    def _band_counts(self, band, act_rows) -> np.ndarray:
+        o = self._oracle
+        return o.adc.read(o._currents(band, act_rows), band[3], o.stack.i_on_mean)[1]
+
+    def reset(self, x, energy: float | None = None) -> float:
+        o = self._oracle
+        self._x = o._bits(x).copy()
+        act_rows = self._x[o._phys_rows].astype(np.float64)
+        for b, band in enumerate(o._bands):
+            self._counts[b] = self._band_counts(band, act_rows[band[0]:band[1]])
+        self._col_counts = self._counts.sum(axis=0)
+        self._mask = self._x[o._cols] == 1
+        self._total = self._col_counts[:, self._mask].sum(axis=1)
+        self._energy = o._energy(self._x, self._total) if energy is None else energy
+        return self._energy
+
+    def peek(self, flips) -> float:
+        o = self._oracle
+        y = self._x.copy()
+        y[flips] ^= 1
+        reread = []
+        for b in sorted({band for i in flips for band in o._var_bands[i]}):
+            r0, r1 = o._bands[b][:2]
+            act_rows = y[o._phys_rows[r0:r1]].astype(np.float64)
+            reread.append((b, self._band_counts(o._bands[b], act_rows)))
+        col_counts, total = self._col_counts, self._total
+        if reread:
+            change = sum(counts - self._counts[b] for b, counts in reread)
+            col_counts = col_counts + change
+            total = total + change[:, self._mask].sum(axis=1)
+        for i in flips:
+            c = o._col_of[i]
+            if c >= 0:
+                total = total + col_counts[:, c] if y[i] else total - col_counts[:, c]
+        energy = o._energy(y, total)
+        self._pending = (y, reread, col_counts, total, energy)
+        return energy
+
+    def commit(self):
+        y, reread, self._col_counts, self._total, self._energy = self._pending
+        for b, counts in reread:
+            self._counts[b] = counts
+        self._x = y
+        self._mask = y[self._oracle._cols] == 1
 
 
 def make_hw_oracle(compressed: CompressedQubo, *, bits: int = 5, ternary: bool = False,
@@ -344,8 +447,8 @@ def make_hw_oracle(compressed: CompressedQubo, *, bits: int = 5, ternary: bool =
     else:
         stack = program(quantize(compressed, bits), dev, seed, tile_rows, tile_cols)
     if adc is None:
-        rows_here = min(tile_rows, max(len(stack.row_map), 1))
-        adc = AdcParams(bits=max(1, math.ceil(math.log2(rows_here)) + 1) if rows_here > 1 else 1)
+        rows = stack.band_rows
+        adc = AdcParams(bits=max(1, math.ceil(math.log2(rows)) + 1) if rows > 1 else 1)
     return HwOracle(compressed, stack, adc)
 
 

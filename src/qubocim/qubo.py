@@ -292,12 +292,48 @@ def from_text(text: str) -> QuboProblem:
     return QuboProblem(n, offdiag, linear, constant)
 
 
+class FullEvaluator:
+    """The evaluator protocol over any energy callable, by full evaluation.
+
+    An evaluator is the solver's per-run view of an oracle:
+
+    * ``reset(x, energy=None) -> E`` adopts state ``x`` and returns its
+      energy; a caller that already knows ``E(x)`` passes it as ``energy``
+      and gets it back, so an evaluator that needs no evaluation to set up
+      its own state makes none;
+    * ``peek(flips) -> E'`` returns the energy of the current state with the
+      distinct indices ``flips`` toggled, without adopting it;
+    * ``commit()`` adopts the state of the last peek.
+
+    This one calls the oracle once per reset and peek, so its energies are
+    the oracle's own; delta evaluators are tested against it.
+    """
+
+    def __init__(self, oracle):
+        self._oracle = oracle
+
+    def reset(self, x, energy: float | None = None) -> float:
+        self._x = np.array(x, dtype=np.int8)
+        self._energy = float(self._oracle(self._x)) if energy is None else energy
+        return self._energy
+
+    def peek(self, flips) -> float:
+        y = self._x.copy()
+        y[flips] ^= 1
+        self._pending = (y, float(self._oracle(y)))
+        return self._pending[1]
+
+    def commit(self):
+        self._x, self._energy = self._pending
+
+
 class ExactOracle:
     """Picklable exact-energy oracle over full binary assignments.
 
     Term arrays are cached at construction; validation is limited to the
     vector length because annealers call this in a hot loop with vectors they
-    construct themselves.
+    construct themselves.  :meth:`evaluator` gives the solver delta
+    evaluation over the same terms.
     """
 
     def __init__(self, problem: QuboProblem):
@@ -306,6 +342,14 @@ class ExactOracle:
         self._rows, self._cols, self._vals = problem.term_arrays()
         self._linear = np.asarray(problem.linear)
         self._constant = problem.constant
+        # Symmetric adjacency in CSR order: neighbours of i are
+        # _adj_cols[_adj_ptr[i]:_adj_ptr[i + 1]], with the coupling in _adj_vals.
+        heads = np.concatenate([self._rows, self._cols])
+        order = np.argsort(heads, kind="stable")
+        self._adj_rows = heads[order]
+        self._adj_cols = np.concatenate([self._cols, self._rows])[order]
+        self._adj_vals = np.concatenate([self._vals, self._vals])[order]
+        self._adj_ptr = np.concatenate([[0], np.cumsum(np.bincount(heads, minlength=self.n))])
 
     def __call__(self, x) -> float:
         bits = np.asarray(x, dtype=np.float64)
@@ -315,6 +359,57 @@ class ExactOracle:
         if len(self._vals):
             total += float((bits[self._rows] * bits[self._cols]) @ self._vals)
         return total
+
+    def evaluator(self) -> "ExactEvaluator":
+        return ExactEvaluator(self)
+
+
+class ExactEvaluator:
+    """Delta evaluation of an :class:`ExactOracle` through local fields.
+
+    The field of variable i is ``linear[i] + sum_j Q_ij x_j``, so toggling a
+    set S changes the energy by ``sum_{i in S} s_i h_i + sum_{i<j in S} Q_ij
+    s_i s_j`` with ``s_i = 1 - 2 x_i``: a peek costs O(|S|^2) and a commit
+    O(degree).  With integer coefficients every step is exact and equals the
+    oracle.  With float coefficients the sums round in another order; to keep
+    the drift bounded the state is resynchronised from a full evaluation
+    every ``n`` commits.
+    """
+
+    def __init__(self, oracle: ExactOracle):
+        self._oracle = oracle
+
+    def reset(self, x, energy: float | None = None) -> float:
+        o = self._oracle
+        self._x = np.array(x, dtype=np.int8)
+        self._energy = o(self._x) if energy is None else energy
+        self._field = o._linear + np.bincount(
+            o._adj_rows, weights=o._adj_vals * self._x[o._adj_cols], minlength=o.n)
+        self._commits = 0
+        return self._energy
+
+    def peek(self, flips) -> float:
+        x, h = self._x, self._field
+        signs = [1 - 2 * int(x[i]) for i in flips]
+        delta = sum(s * float(h[i]) for s, i in zip(signs, flips))
+        offdiag = self._oracle.problem.offdiag
+        for a in range(1, len(flips)):
+            for b in range(a):
+                i, j = sorted((int(flips[a]), int(flips[b])))
+                delta += offdiag.get((i, j), 0.0) * signs[a] * signs[b]
+        self._pending = (flips, float(self._energy + delta))
+        return self._pending[1]
+
+    def commit(self):
+        o = self._oracle
+        flips, self._energy = self._pending
+        for i in flips:
+            lo, hi = o._adj_ptr[i], o._adj_ptr[i + 1]
+            self._field[o._adj_cols[lo:hi]] += (1 - 2 * int(self._x[i])) * o._adj_vals[lo:hi]
+            self._x[i] ^= 1
+        self._commits += 1
+        if self._commits >= o.n:
+            self.reset(self._x)
 
 
 def exact_oracle(q: QuboProblem) -> ExactOracle:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qubocim.anneal import (AnnealConfig, derive_seed, flip_bits, mesa_solve,
+from qubocim.anneal import (AnnealConfig, AnnealTrace, derive_seed, flip_bits, mesa_solve,
                             run_trials, sa_solve, success_rate)
 from qubocim.convert import coloring_to_qubo, demo_coloring_instance
 from qubocim.errors import ConfigError
@@ -184,3 +184,23 @@ class TestHarness:
         buf = io.StringIO()
         trace.write_csv(buf)
         assert buf.getvalue().splitlines()[0] == "iter,epoch,E_new,E_o,E_best,accepted,trapped,T,flips"
+
+    def test_csv_bytes_pinned(self):
+        # the exact text of the row format, non-integer and extreme floats included
+        trace = AnnealTrace(
+            iteration=np.array([1, 2, 3, 4]), epoch=np.array([0, 0, 1, 1]),
+            e_new=np.array([-3.5, 0.1, 1e-300, -2.5e17]),
+            e_o=np.array([0.0, -3.5, 1 / 3, 7.0]),
+            e_best=np.array([-3.5, -3.5, -3.5, -2.5e17]),
+            accepted=np.array([True, False, False, True]),
+            trapped=np.array([False, True, True, False]),
+            temperature=np.array([2.0, 0.1 * 3, 5e-324, 1.7976931348623157e308]),
+            flips=np.array([1, 2, 1, 3]), iters_used=4)
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        assert buf.getvalue() == (
+            "iter,epoch,E_new,E_o,E_best,accepted,trapped,T,flips\n"
+            "1,0,-3.5,0.0,-3.5,1,0,2.0,1\n"
+            "2,0,0.1,-3.5,-3.5,0,1,0.30000000000000004,2\n"
+            "3,1,1e-300,0.3333333333333333,-3.5,0,1,5e-324,1\n"
+            "4,1,-2.5e+17,7.0,-2.5e+17,1,0,1.7976931348623157e+308,3\n")

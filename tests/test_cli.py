@@ -214,6 +214,29 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 3
         assert main(["solve", "--pfp", "44", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--trials", "-2"], ["--jobs", "0"]])
+    def test_trials_and_jobs_below_one_are_3(self, tmp_path, capsys, flags):
+        src = tmp_path / "k3.col"
+        src.write_text(K3_DIMACS)
+        assert main(["solve", str(src), "--kind", "maxcut", "--max-iters", "20",
+                     "--out", str(tmp_path / "out")] + flags) == 3
+        assert main(["sweep", str(src), "--kind", "maxcut", "--oracle", "hw",
+                     "--axis", "bits", "--values", "2", "--max-iters", "20",
+                     "--out", str(tmp_path / "sweep")] + flags) == 3
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_cqubo_non_finite_coefficient_is_2(self, tmp_path):
+        src = tmp_path / "nan.cqubo"
+        src.write_text("cqubo 3 1 1\nc 0.0\nrows 0\ncols 1\nm nan\n")
+        assert main(["solve", str(src), "--kind", "cqubo", "--max-iters", "20",
+                     "--optimum", "none", "--out", str(tmp_path / "out")]) == 2
+
+    def test_cqubo_variable_out_of_range_is_3(self, tmp_path):
+        src = tmp_path / "bad.cqubo"
+        src.write_text("cqubo 3 1 1\nc 0.0\nrows 0\ncols 7\nm 1.0\n")
+        assert main(["solve", str(src), "--kind", "cqubo", "--max-iters", "20",
+                     "--optimum", "none", "--out", str(tmp_path / "out")]) == 3
+
     def test_capacity_error_is_4(self, tmp_path):
         assert main(["solve", "--pfp", "323", "--trials", "1", "--max-iters", "50",
                      "--optimum", "brute", "--out", str(tmp_path)]) == 4

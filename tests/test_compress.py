@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qubocim.compress import (CompressedQubo, compress, compressed_energy,
-                              from_text, split_signs, to_text)
+                              decompress, from_text, split_signs, to_text)
 from qubocim.errors import DimensionError, ParseError
 from qubocim.qubo import QuboProblem, energy, energy_batch
 
@@ -172,3 +172,31 @@ class TestSignsAndSerialization:
         c, _ = compress(QuboProblem(3, {(0, 1): 1.0}))
         with pytest.raises(DimensionError):
             compressed_energy(c, [0, 1])
+
+
+class TestDecompress:
+    def test_round_trip_float_coefficients(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(1, 25))
+            density = float(rng.uniform(0.05, 1.0))
+            off = {(i, j): float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+                   for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+            q = QuboProblem(n, off, rng.normal(size=n), float(rng.normal()))
+            back = decompress(compress(q)[0])
+            assert back.offdiag == q.offdiag
+            assert np.array_equal(back.linear, q.linear)
+            assert back.constant == q.constant
+
+    def test_hand_written_mirror_and_diagonal_slots(self):
+        # (0,0) joins linear, (1,0) is the pair (0,1), (1,1) joins linear
+        c = CompressedQubo((0, 1), (0, 1), [[2.0, 0.0], [3.0, 5.0]], [1.0, 0.0, 4.0], 0.5, 3)
+        q = decompress(c)
+        assert q.offdiag == {(0, 1): 3.0}
+        assert np.array_equal(q.linear, [3.0, 5.0, 4.0])
+        for x in exhaustive_bits(3):
+            assert energy(q, x) == compressed_energy(c, x)
+
+    def test_out_of_range_variable_rejected(self):
+        with pytest.raises(DimensionError):
+            CompressedQubo((0, 3), (1,), [[1.0], [2.0]], np.zeros(3), 0.0, 3)
