@@ -29,7 +29,7 @@ from typing import Callable, IO
 import numpy as np
 
 from .errors import ConfigError
-from .qubo import FullEvaluator, QuboProblem, exact_oracle
+from .qubo import FullEvaluator, QuboProblem, exact_oracle, toggle
 
 Oracle = Callable[[np.ndarray], float]
 
@@ -176,7 +176,7 @@ def flip_indices(n: int, k: int, rng: np.random.Generator) -> list[int]:
 def flip_bits(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Copy of ``x`` with ``k`` distinct uniformly chosen bits toggled."""
     y = x.copy()
-    y[flip_indices(len(x), k, rng)] ^= 1
+    toggle(y, flip_indices(len(x), k, rng))
     return y
 
 
@@ -266,7 +266,7 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
             accepted = _metropolis_accept(e_new - e_o, temperature, rng)
         if accepted:
             evaluator.commit()
-            x_cur[candidate] ^= 1
+            toggle(x_cur, candidate)
             e_o = e_new
             trap_count = 0
             if e_new < e_best:
@@ -325,7 +325,7 @@ def sa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, flo
         accepted = e_new <= e_o or _metropolis_accept(e_new - e_o, temperature, rng)
         if accepted:
             evaluator.commit()
-            x_cur[candidate] ^= 1
+            toggle(x_cur, candidate)
             e_o = e_new
             if e_new < e_best:
                 x_best = x_cur.copy()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .compress import CompressedQubo, split_signs
 from .errors import ConfigError, DimensionError, EncodingError
-from .qubo import FullEvaluator, as_bits
+from .qubo import FullEvaluator, as_bits, toggle
 
 
 @dataclass(frozen=True)
@@ -404,7 +404,7 @@ class HwEvaluator:
     def peek(self, flips) -> float:
         o = self._oracle
         y = self._x.copy()
-        y[flips] ^= 1
+        toggle(y, flips)
         reread = []
         for b in sorted({band for i in flips for band in o._var_bands[i]}):
             r0, r1 = o._bands[b][:2]

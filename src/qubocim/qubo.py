@@ -292,6 +292,16 @@ def from_text(text: str) -> QuboProblem:
     return QuboProblem(n, offdiag, linear, constant)
 
 
+def toggle(x: np.ndarray, flips) -> None:
+    """Flip the distinct indices ``flips`` of ``x`` in place.
+
+    A scalar loop: for the few indices of one annealing move it is an order
+    of magnitude cheaper than fancy indexing with a list.
+    """
+    for i in flips:
+        x[i] ^= 1
+
+
 class FullEvaluator:
     """The evaluator protocol over any energy callable, by full evaluation.
 
@@ -319,7 +329,7 @@ class FullEvaluator:
 
     def peek(self, flips) -> float:
         y = self._x.copy()
-        y[flips] ^= 1
+        toggle(y, flips)
         self._pending = (y, float(self._oracle(y)))
         return self._pending[1]
 
