@@ -22,9 +22,10 @@ elsewhere).  Independent trials derive per-trial seeds from
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, IO
+from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -180,34 +181,37 @@ def flip_bits(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     return y
 
 
-def _evaluator(oracle: Oracle):
-    make = getattr(oracle, "evaluator", None)
-    return make() if make is not None else FullEvaluator(oracle)
-
-
 def derive_seed(base_seed: int, index: int) -> int:
     """Stable 64-bit per-trial seed from (base seed, trial index)."""
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _make_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Main search generator plus a separate one for temperature calibration."""
-    root = np.random.SeedSequence(seed)
-    cal, main = root.spawn(2)
-    return np.random.Generator(np.random.PCG64(main)), np.random.Generator(np.random.PCG64(cal))
+def _start(oracle: Oracle, n: int, cfg: AnnealConfig):
+    """Start-up shared by both solvers; returns (rng, evaluator, t0, x, E(x)).
 
-
-def _initial_temperature(cfg: AnnealConfig, evaluator, n: int,
-                         rng: np.random.Generator) -> float:
+    The steps run in an order that fixes the random streams: validate
+    ``cfg``, spawn the calibration and search generators from the seed, pick
+    the oracle's own evaluator if it has one, calibrate t0 unless it is
+    given, then draw the start state and reset the evaluator to it.
+    """
+    cfg.validate(n)
+    cal, main = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.Generator(np.random.PCG64(main))
+    cal_rng = np.random.Generator(np.random.PCG64(cal))
+    make = getattr(oracle, "evaluator", None)
+    evaluator = make() if make is not None else FullEvaluator(oracle)
     if cfg.t0 is not None:
-        return float(cfg.t0)
-    deltas = np.empty(CALIBRATION_SAMPLES)
-    for i in range(CALIBRATION_SAMPLES):
-        e = evaluator.reset(rng.integers(0, 2, size=n, dtype=np.int8))
-        deltas[i] = evaluator.peek(flip_indices(n, 1, rng)) - e
-    spread = float(np.std(deltas))
-    return spread if spread > 0 else 1.0
+        t0 = float(cfg.t0)
+    else:
+        deltas = np.empty(CALIBRATION_SAMPLES)
+        for i in range(CALIBRATION_SAMPLES):
+            e = evaluator.reset(cal_rng.integers(0, 2, size=n, dtype=np.int8))
+            deltas[i] = evaluator.peek(flip_indices(n, 1, cal_rng)) - e
+        spread = float(np.std(deltas))
+        t0 = spread if spread > 0 else 1.0
+    x = rng.integers(0, 2, size=n, dtype=np.int8)
+    return rng, evaluator, t0, x, evaluator.reset(x)
 
 
 def _metropolis_accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
@@ -231,15 +235,9 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
     temperature resets and the search restarts from the best solution found
     so far.
     """
-    cfg.validate(n)
+    rng, evaluator, t0, x_cur, e_o = _start(oracle, n, cfg)
     alpha = cfg.resolved_alpha(n)
     count_max = cfg.resolved_count_max(n)
-    rng, cal_rng = _make_rngs(cfg.seed)
-    evaluator = _evaluator(oracle)
-    t0 = _initial_temperature(cfg, evaluator, n, cal_rng)
-
-    x_cur = rng.integers(0, 2, size=n, dtype=np.int8)
-    e_o = evaluator.reset(x_cur)
     x_best = x_cur.copy()
     e_best = e_o
 
@@ -306,14 +304,8 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
 def sa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, float, AnnealTrace]:
     """Single-epoch Metropolis baseline: accept non-worse moves, uphill with
     probability ``exp(-dE/T)``, geometric cooling, no trap machinery."""
-    cfg.validate(n)
+    rng, evaluator, temperature, x_cur, e_o = _start(oracle, n, cfg)
     alpha = cfg.resolved_alpha(n)
-    rng, cal_rng = _make_rngs(cfg.seed)
-    evaluator = _evaluator(oracle)
-    temperature = _initial_temperature(cfg, evaluator, n, cal_rng)
-
-    x_cur = rng.integers(0, 2, size=n, dtype=np.int8)
-    e_o = evaluator.reset(x_cur)
     x_best = x_cur.copy()
     e_best = e_o
 
@@ -338,30 +330,65 @@ def sa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, flo
     return x_best, e_best, trace
 
 
-_SOLVERS = {"mesa": mesa_solve, "sa": sa_solve}
+SOLVERS = ("mesa", "sa")
 
 
-def _run_trial(args) -> tuple[int, np.ndarray, float]:
-    oracle, n, cfg, solver_name, index = args
+class TrialRecord(NamedTuple):
+    """One seeded trial: its index, derived seed, result, trace and solver wall time."""
+
+    index: int
+    seed: int
+    x: np.ndarray
+    e_best: float
+    trace: AnnealTrace
+    wall_s: float
+
+
+def check_trials(trials: int, jobs: int, solver: str):
+    """Raise :class:`ConfigError` unless :func:`iter_trials` accepts these settings."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if solver not in SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r}")
+
+
+def _trial(args) -> TrialRecord:
+    """Worker for one trial; module level so a process pool can pickle it."""
+    oracle, n, cfg, solver, index = args
     trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, index))
-    x, e, _ = _SOLVERS[solver_name](oracle, n, trial_cfg)
-    return index, x, e
+    # Looked up by module-global name on every call, so replacing
+    # ``anneal.mesa_solve`` or ``anneal.sa_solve`` (e.g. with a timing
+    # wrapper) reaches every trial.
+    solve = mesa_solve if solver == "mesa" else sa_solve
+    started = time.perf_counter()
+    x, e_best, trace = solve(oracle, n, trial_cfg)
+    return TrialRecord(index, trial_cfg.seed, x, e_best, trace, time.perf_counter() - started)
+
+
+def iter_trials(oracle: Oracle, n: int, cfg: AnnealConfig, trials: int,
+                solver: str = "mesa", jobs: int = 1) -> Iterator[TrialRecord]:
+    """Independent seeded solver runs, one record at a time in trial order.
+
+    Trial ``i`` runs with seed ``derive_seed(cfg.seed, i)``, so the records
+    do not depend on ``jobs``; ``jobs > 1`` runs the trials in one process
+    pool.  The settings are checked on the call, before any trial starts.
+    """
+    check_trials(trials, jobs, solver)
+    work = [(oracle, n, cfg, solver, i) for i in range(trials)]
+    return map(_trial, work) if jobs == 1 else _pooled(work, jobs)
+
+
+def _pooled(work: list, jobs: int) -> Iterator[TrialRecord]:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(_trial, work)
 
 
 def run_trials(oracle: Oracle, n: int, cfg: AnnealConfig, trials: int,
                solver: str = "mesa", jobs: int = 1) -> list[tuple[np.ndarray, float]]:
-    """Independent seeded solver runs; results are ordered by trial index and
-    independent of ``jobs``."""
-    if solver not in _SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}")
-    work = [(oracle, n, cfg, solver, i) for i in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_trial, work))
-    else:
-        results = [_run_trial(w) for w in work]
-    results.sort(key=lambda r: r[0])
-    return [(x, e) for _, x, e in results]
+    """``(x, e_best)`` of each trial of :func:`iter_trials`, in trial order."""
+    return [(r.x, r.e_best) for r in iter_trials(oracle, n, cfg, trials, solver, jobs)]
 
 
 def success_rate(problem: QuboProblem, cfg: AnnealConfig, trials: int,
@@ -379,6 +406,6 @@ def success_rate(problem: QuboProblem, cfg: AnnealConfig, trials: int,
         _, optimum, _ = brute_force_minimize(problem)
     search = oracle if oracle is not None else exact_oracle(problem)
     score = exact_oracle(problem)
-    results = run_trials(search, problem.n, cfg, trials, solver=solver, jobs=jobs)
-    hits = sum(1 for x, _ in results if score(x) <= optimum + tol)
-    return hits / trials if trials else 0.0
+    records = iter_trials(search, problem.n, cfg, trials, solver=solver, jobs=jobs)
+    hits = sum(1 for r in records if score(r.x) <= optimum + tol)
+    return hits / trials

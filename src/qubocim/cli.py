@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -206,15 +205,6 @@ def _build_oracle(rc: RunConfig, instance: Instance, exact: qubo.QuboProblem):
     return oracle, stats, desc, eps_default
 
 
-def _solve_trial(args):
-    """Worker for one seeded trial; module level so process pools can pickle it."""
-    oracle, n, cfg, solver_name, index = args
-    solver = anneal.mesa_solve if solver_name == "mesa" else anneal.sa_solve
-    started = time.perf_counter()
-    x, e_best, trace = solver(oracle, n, cfg)
-    return index, x, e_best, trace, time.perf_counter() - started
-
-
 def cmd_convert(rc: RunConfig) -> int:
     if rc.kind == "cqubo":
         raise ConfigError("cqubo files are already converted")
@@ -267,10 +257,7 @@ def _resolve_optimum(rc: RunConfig, instance: Instance) -> float | None:
 
 
 def run_solve(rc: RunConfig, out_dir: Path) -> dict:
-    if rc.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {rc.trials}")
-    if rc.jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {rc.jobs}")
+    anneal.check_trials(rc.trials, rc.jobs, rc.solver)
     instance = build_instance(rc)
     exact = instance.problem if instance.problem is not None else decompress(instance.compressed)
     oracle, stats, oracle_desc, eps_default = _build_oracle(rc, instance, exact)
@@ -280,35 +267,24 @@ def run_solve(rc: RunConfig, out_dir: Path) -> dict:
 
     optimum = _resolve_optimum(rc, instance)
     score = qubo.exact_oracle(exact)
-    if rc.solver not in ("mesa", "sa"):
-        raise ConfigError(f"unknown solver {rc.solver!r}")
-
-    work = [(oracle, instance.n_vars, replace(cfg, seed=anneal.derive_seed(rc.seed, i)),
-             rc.solver, i) for i in range(rc.trials)]
-    if rc.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=rc.jobs) as pool:
-            outcomes = sorted(pool.map(_solve_trial, work), key=lambda r: r[0])
-    else:
-        outcomes = [_solve_trial(w) for w in work]
 
     trials = []
     hits = 0
-    for index, x, e_best, trace, wall in outcomes:
-        e_exact = score(x)
+    for r in anneal.iter_trials(oracle, instance.n_vars, cfg, rc.trials, rc.solver, rc.jobs):
+        e_exact = score(r.x)
         if optimum is not None and e_exact <= optimum + 1e-9:
             hits += 1
-        trace_file = out_dir / f"trace_{index:03d}.csv"
-        trace.to_csv(trace_file)
+        trace_file = out_dir / f"trace_{r.index:03d}.csv"
+        r.trace.to_csv(trace_file)
         trials.append({
-            "trial": index,
-            "seed": work[index][2].seed,
-            "e_best": e_best,
+            "trial": r.index,
+            "seed": r.seed,
+            "e_best": r.e_best,
             "e_exact": e_exact,
-            "iterations": trace.iters_used,
-            "epochs": trace.epochs_used,
-            "wall_time_s": round(wall, 6),
-            "metric": instance.metric(x),
+            "iterations": r.trace.iters_used,
+            "epochs": r.trace.epochs_used,
+            "wall_time_s": round(r.wall_s, 6),
+            "metric": instance.metric(r.x),
             "trace_file": trace_file.name,
         })
 
@@ -317,15 +293,10 @@ def run_solve(rc: RunConfig, out_dir: Path) -> dict:
         "compression": stats.as_dict() if stats is not None else None,
         "oracle": oracle_desc,
         "solver": rc.solver,
-        "config": {
-            "t0": cfg.t0, "alpha": cfg.alpha, "eps_trap": cfg.eps_trap,
-            "count_max": cfg.count_max, "max_epochs": cfg.max_epochs,
-            "max_iters": cfg.max_iters, "flip_base": cfg.flip_base,
-            "adaptive_flips": cfg.adaptive_flips, "seed": rc.seed,
-            "trials": rc.trials, "compress": rc.compress or rc.oracle == "hw",
-        },
+        "config": {**asdict(cfg), "trials": rc.trials,
+                   "compress": rc.compress or rc.oracle == "hw"},
         "optimum": optimum,
-        "success_rate": (hits / rc.trials) if optimum is not None and rc.trials else None,
+        "success_rate": hits / rc.trials if optimum is not None else None,
         "trials": trials,
     }
     (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -341,26 +312,23 @@ def cmd_solve(rc: RunConfig) -> int:
     return 0
 
 
-_SWEEP_AXES = {"bits", "sigma", "adc-bits"}
+# Sweep axis -> (RunConfig field it sets, type of its values).
+_SWEEP_AXES = {"bits": ("bits", int), "sigma": ("sigma", float), "adc-bits": ("adc_bits", int)}
 
 
 def cmd_sweep(rc: RunConfig, axis: str, values: list[str]) -> int:
     if axis not in _SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    field, kind = _SWEEP_AXES[axis]
+    try:
+        points = [(text, kind(text)) for text in values]
+    except ValueError:
+        raise ConfigError(f"bad {axis} values: {','.join(values)!r}") from None
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for text in values:
-        if axis == "sigma":
-            rc_point = replace(rc, sigma=float(text))
-            value = float(text)
-        elif axis == "bits":
-            rc_point = replace(rc, bits=int(text))
-            value = int(text)
-        else:
-            rc_point = replace(rc, adc_bits=int(text))
-            value = int(text)
-        report = run_solve(rc_point, out / f"{axis.replace('-', '_')}_{text}")
+    for text, value in points:
+        report = run_solve(replace(rc, **{field: value}), out / f"{axis.replace('-', '_')}_{text}")
         mean_e = float(np.mean([t["e_exact"] for t in report["trials"]]))
         rows.append((value, report["success_rate"], mean_e))
         print(f"{axis}={text}: success_rate={report['success_rate']}, mean E_best={mean_e!r}")
@@ -411,7 +379,7 @@ def _add_solve_flags(p: argparse.ArgumentParser):
     p.add_argument("--ternary", action="store_true", default=None)
     p.add_argument("--sigma", type=float)
     p.add_argument("--adc-bits", type=int, dest="adc_bits")
-    p.add_argument("--solver", choices=["mesa", "sa"])
+    p.add_argument("--solver", choices=anneal.SOLVERS)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int)

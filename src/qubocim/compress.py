@@ -133,22 +133,17 @@ def compress(q: QuboProblem) -> tuple[CompressedQubo, CompressionStats]:
     dead_rows: set[int] = set()
     dead_cols: set[int] = set()
 
-    def move(src: tuple[int, int], dst: tuple[int, int]) -> bool:
-        """Fold entries[src] onto its mirror; True if the mirror is nonzero after."""
-        value = entries.pop(src)
-        by_row[src[0]].discard(src[1])
-        by_col[src[1]].discard(src[0])
-        merged = entries.get(dst, 0.0) + value
-        if merged == 0.0:
-            # Cancellation: drop the entry entirely, no fixed mark.
-            entries.pop(dst, None)
-            by_row.get(dst[0], set()).discard(dst[1])
-            by_col.get(dst[1], set()).discard(dst[0])
-            return False
-        entries[dst] = merged
-        by_row.setdefault(dst[0], set()).add(dst[1])
-        by_col.setdefault(dst[1], set()).add(dst[0])
-        return True
+    def move(i: int, j: int):
+        """Move entries[i, j] to its mirror slot (j, i).
+
+        The mirror is always empty: the input holds each pair once, in the
+        upper triangle, and a move only relocates it.
+        """
+        entries[j, i] = entries.pop((i, j))
+        by_row[i].discard(j)
+        by_col[j].discard(i)
+        by_row.setdefault(j, set()).add(i)
+        by_col.setdefault(i, set()).add(j)
 
     # Row pass.
     for i in order:
@@ -158,9 +153,9 @@ def compress(q: QuboProblem) -> tuple[CompressedQubo, CompressionStats]:
         if any(j in dead_rows for j in cols):
             continue  # a move would land in a deleted row; keep this row
         for j in sorted(cols):
-            if move((i, j), (j, i)):
-                fixed_rows.add(j)
-                fixed_cols.add(i)
+            move(i, j)
+            fixed_rows.add(j)
+            fixed_cols.add(i)
         dead_rows.add(i)
 
     # Column pass, same order, fixed marks carried over.
@@ -171,8 +166,8 @@ def compress(q: QuboProblem) -> tuple[CompressedQubo, CompressionStats]:
         if rows and (j in dead_rows or any(i in dead_cols for i in rows)):
             continue  # mirror slots (j, i) must land in a live row and column
         for i in sorted(rows):
-            if move((i, j), (j, i)):
-                fixed_cols.add(i)
+            move(i, j)
+            fixed_cols.add(i)
         dead_cols.add(j)
 
     row_vars = tuple(i for i in range(n) if i not in dead_rows)
@@ -278,6 +273,8 @@ def from_text(text: str) -> CompressedQubo:
             elif parts[0] == "cols":
                 col_vars = [int(s) for s in parts[1:]]
             elif parts[0] == "m":
+                if len(parts) - 1 != qn:
+                    raise ValueError(f"{len(parts) - 1} entries, header declares {qn} columns")
                 matrix_rows.append([float(s) for s in parts[1:]])
             else:
                 raise ParseError(f"unknown record {parts[0]!r}", lineno)

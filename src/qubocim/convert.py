@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedInstanceError
+from .errors import ConfigError, ParseError, UnsupportedInstanceError
 from .qubo import QuboProblem, as_bits
 
 
@@ -98,6 +98,8 @@ def parse_dimacs_col(text: str) -> Graph:
                 raise ParseError(f"malformed edge record: {raw!r}", lineno) from exc
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex out of range in: {raw!r}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop in: {raw!r}", lineno)
             edges.append((u - 1, v - 1))
         else:
             raise ParseError(f"unknown record {parts[0]!r}", lineno)
@@ -126,6 +128,8 @@ def parse_gset(text: str) -> Graph:
             raise ParseError(f"malformed edge record: {raw!r}", lineno) from exc
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"vertex out of range in: {raw!r}", lineno)
+        if u == v:
+            raise ParseError(f"self-loop in: {raw!r}", lineno)
         edges.append((u - 1, v - 1, w))
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
@@ -248,9 +252,9 @@ def coloring_to_qubo(g: Graph, n_colors: int, penalty: float = 1.0) -> tuple[Qub
     ignored.
     """
     if n_colors < 1:
-        raise ValueError("n_colors must be >= 1")
+        raise ConfigError("n_colors must be >= 1")
     if penalty <= 0:
-        raise ValueError("penalty must be positive")
+        raise ConfigError("penalty must be positive")
     enc = ColoringEncoding(g, n_colors)
     n = max(enc.n_vars, 1)
     linear = np.zeros(n)
@@ -306,6 +310,11 @@ class _Column:
     carries_out: tuple[tuple[int, int], ...]
     target: int
 
+    def lhs(self, bits) -> int:
+        """The left-hand side under the assignment ``bits``."""
+        return self.constant + sum(int(bits[v]) for v in
+                                   (*self.singles, *self.products, *self.carries_in))
+
 
 class FactorizationEncoding:
     """Variable layout for factoring odd ``N = P * Q``.
@@ -327,10 +336,10 @@ class FactorizationEncoding:
         if N % 2 == 0 or N < 9:
             raise UnsupportedInstanceError(f"N must be odd and >= 9, got {N}")
         if k < 0 or l < 0:
-            raise ValueError("free-bit counts k, l must be >= 0")
+            raise ConfigError("free-bit counts k, l must be >= 0")
         bitlen = N.bit_length()
         if not (k + l + 3 <= bitlen <= k + l + 4):
-            raise ValueError(
+            raise ConfigError(
                 f"bit lengths (k+2, l+2)=({k + 2},{l + 2}) cannot produce a "
                 f"{bitlen}-bit product for N={N}")
         self.N = N
@@ -368,7 +377,7 @@ class FactorizationEncoding:
         columns: list[_Column] = []
         incoming: dict[int, list[int]] = {}
         c = 0
-        while c in pp or (incoming.get(c)) or c < bitlen or any(key >= c for key in incoming):
+        while c < bitlen or incoming:
             col = pp.get(c, {"const": 0, "singles": [], "products": []})
             carries_in = tuple(incoming.pop(c, []))
             target = n_bits[c] if c < bitlen else 0
@@ -467,7 +476,7 @@ def pfp_to_qubo(enc: FactorizationEncoding,
         magnitudes = [abs(c) for c in linear.values()] + [abs(c) for c in offdiag.values()]
         reduction_penalty = 2.0 * max(magnitudes, default=1.0)
     if reduction_penalty <= 0:
-        raise ValueError("reduction_penalty must be positive")
+        raise ConfigError("reduction_penalty must be positive")
 
     for (i, j), z in enc.z_vars.items():
         p, q = enc.p_vars[i - 1], enc.q_vars[j - 1]
@@ -505,12 +514,8 @@ def decode_factors(enc: FactorizationEncoding, x) -> tuple[int, int, bool]:
         if bits[z] != bits[enc.p_vars[i - 1]] * bits[enc.q_vars[j - 1]]:
             consistent = False
     for col in enc.columns:
-        lhs = col.constant
-        lhs += sum(int(bits[v]) for v in col.singles)
-        lhs += sum(int(bits[v]) for v in col.products)
-        lhs += sum(int(bits[v]) for v in col.carries_in)
         rhs = col.target + sum((1 << r) * int(bits[v]) for (v, r) in col.carries_out)
-        if lhs != rhs:
+        if col.lhs(bits) != rhs:
             consistent = False
     return p, q, consistent
 
@@ -535,11 +540,7 @@ def assignment_for_factors(enc: FactorizationEncoding, p: int, q: int) -> np.nda
     for (i, j), z in enc.z_vars.items():
         bits[z] = bits[enc.p_vars[i - 1]] * bits[enc.q_vars[j - 1]]
     for col in enc.columns:
-        lhs = col.constant
-        lhs += sum(int(bits[v]) for v in col.singles)
-        lhs += sum(int(bits[v]) for v in col.products)
-        lhs += sum(int(bits[v]) for v in col.carries_in)
-        excess = lhs - col.target
+        excess = col.lhs(bits) - col.target
         if excess < 0 or excess % 2 != 0:
             return None
         carry = excess // 2

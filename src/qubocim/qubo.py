@@ -254,6 +254,20 @@ def to_text(q: QuboProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _index(text: str, n: int) -> int:
+    i = int(text)
+    if not 0 <= i < n:
+        raise ValueError(f"index {i} outside 0..{n - 1}")
+    return i
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite coefficient {text!r}")
+    return value
+
+
 def from_text(text: str) -> QuboProblem:
     """Parse the native text format produced by :func:`to_text`."""
     n = None
@@ -269,13 +283,15 @@ def from_text(text: str) -> QuboProblem:
         try:
             if parts[0] == "qubo":
                 n, nnz = int(parts[1]), int(parts[2])
+                if n < 1:
+                    raise ValueError("n must be >= 1")
                 linear = np.zeros(n)
             elif parts[0] == "c":
-                constant = float(parts[1])
+                constant = _finite(parts[1])
             elif parts[0] == "l":
-                linear[int(parts[1])] = float(parts[2])
+                linear[_index(parts[1], n)] = _finite(parts[2])
             elif parts[0] == "q":
-                i, j, v = int(parts[1]), int(parts[2]), float(parts[3])
+                i, j, v = _index(parts[1], n), _index(parts[2], n), _finite(parts[3])
                 if not i < j:
                     raise ParseError(f"expected i < j, got ({i},{j})", lineno)
                 offdiag[(i, j)] = v

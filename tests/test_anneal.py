@@ -204,3 +204,22 @@ class TestHarness:
             "2,0,0.1,-3.5,-3.5,0,1,0.30000000000000004,2\n"
             "3,1,1e-300,0.3333333333333333,-3.5,0,1,5e-324,1\n"
             "4,1,-2.5e+17,7.0,-2.5e+17,1,0,1.7976931348623157e+308,3\n")
+
+    def test_trial_records_match_direct_solver_runs(self):
+        from qubocim.anneal import iter_trials
+        oracle = exact_oracle(UNIQUE_MIN)
+        cfg = AnnealConfig(seed=9, max_iters=150)
+        records = list(iter_trials(oracle, 4, cfg, trials=3, solver="sa"))
+        assert [r.index for r in records] == [0, 1, 2]
+        for r in records:
+            assert r.seed == derive_seed(9, r.index) and r.wall_s >= 0
+            x, e, trace = sa_solve(oracle, 4, AnnealConfig(seed=r.seed, max_iters=150))
+            assert r.e_best == e and np.array_equal(r.x, x)
+            assert np.array_equal(r.trace.e_new, trace.e_new)
+
+    @pytest.mark.parametrize("trials, jobs, solver", [(0, 1, "mesa"), (1, 0, "mesa"),
+                                                      (1, 1, "anneal")])
+    def test_trial_settings_rejected_on_call(self, trials, jobs, solver):
+        from qubocim.anneal import iter_trials
+        with pytest.raises(ConfigError):
+            iter_trials(ZeroOracle(), 2, AnnealConfig(), trials, solver, jobs)

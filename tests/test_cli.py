@@ -144,6 +144,21 @@ class TestSolve:
         assert ([t["e_best"] for t in reports["1"]["trials"]]
                 == [t["e_best"] for t in reports["2"]["trials"]])
 
+    def test_parallel_jobs_write_serial_traces(self, tmp_path):
+        src = tmp_path / "k3.col"
+        src.write_text(K3_DIMACS)
+        reports, traces = {}, {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["solve", str(src), "--kind", "maxcut", "--trials", "4",
+                         "--max-iters", "200", "--jobs", jobs, "--out", str(out)]) == 0
+            reports[jobs] = [(t["seed"], t["e_exact"], t["metric"])
+                             for t in json.loads((out / "report.json").read_text())["trials"]]
+            traces[jobs] = {p.name: p.read_bytes() for p in out.glob("trace_*.csv")}
+        assert len(traces["1"]) == 4
+        assert traces["1"] == traces["2"]
+        assert reports["1"] == reports["2"]
+
 
 class TestSweep:
     def test_sigma_sweep_noiseless_at_least_as_good(self, tmp_path):
@@ -236,6 +251,31 @@ class TestExitCodes:
         src.write_text("cqubo 3 1 1\nc 0.0\nrows 0\ncols 7\nm 1.0\n")
         assert main(["solve", str(src), "--kind", "cqubo", "--max-iters", "20",
                      "--optimum", "none", "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("text, argv, code", [
+        ("qubo 3 1\nq 0 5 1.0\n", ["solve", "{file}", "--kind", "qubo"], 2),
+        ("qubo 2 0\nl 0 nan\n", ["solve", "{file}", "--kind", "qubo"], 2),
+        ("2 1\n1 1 1\n", ["solve", "{file}", "--kind", "maxcut"], 2),
+        ("p edge 2 1\ne 1 1\n", ["solve", "{file}", "--kind", "maxcut"], 2),
+        ("cqubo 3 1 1\nrows 0\ncols 0\nm 1.0 2.0\n", ["solve", "{file}", "--kind", "cqubo"], 2),
+        (K3_DIMACS, ["solve", "{file}", "--kind", "coloring", "--colors", "0"], 3),
+        (K3_DIMACS, ["solve", "{file}", "--kind", "coloring", "--penalty", "-1"], 3),
+        ("pfp_n = 35\npfp_k = 5\npfp_l = 5\n", ["solve", "--config", "{file}"], 3),
+        ("pfp_n = 35\nreduction_penalty = -1\n", ["solve", "--config", "{file}"], 3),
+        (K3_DIMACS, ["sweep", "{file}", "--kind", "maxcut", "--axis", "bits",
+                     "--values", "2,x"], 3),
+    ], ids=["qubo-index", "qubo-nan", "gset-self-loop", "dimacs-self-loop", "cqubo-row",
+            "colors-0", "penalty-negative", "pfp-bit-lengths", "reduction-penalty-negative",
+            "sweep-value"])
+    def test_bad_input_exits_without_traceback(self, tmp_path, capsys, text, argv, code):
+        src = tmp_path / "input"
+        src.write_text(text)
+        out = tmp_path / "out"
+        argv = [str(src) if a == "{file}" else a for a in argv]
+        assert main(argv + ["--max-iters", "20", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_capacity_error_is_4(self, tmp_path):
         assert main(["solve", "--pfp", "323", "--trials", "1", "--max-iters", "50",
