@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .qubo import QuboProblem, as_bits
+from .qubo import QuboProblem, _index, as_bits
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ def from_text(text: str) -> CompressedQubo:
             elif parts[0] == "c":
                 constant = float(parts[1])
             elif parts[0] == "l":
-                linear[int(parts[1])] = float(parts[2])
+                linear[_index(parts[1], n)] = float(parts[2])
             elif parts[0] == "rows":
                 row_vars = [int(s) for s in parts[1:]]
             elif parts[0] == "cols":

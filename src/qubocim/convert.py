@@ -110,16 +110,18 @@ def parse_dimacs_col(text: str) -> Graph:
 
 def parse_gset(text: str) -> Graph:
     """Parse a Gset/rudy edge list: ``<n> <m>`` header, then 1-based ``<u> <v> [<w>]`` lines."""
-    lines = [l for l in text.splitlines() if l.strip() and not l.lstrip().startswith(("#", "%"))]
-    if not lines:
+    records = [(lineno, l) for lineno, l in enumerate(text.splitlines(), start=1)
+               if l.strip() and not l.lstrip().startswith(("#", "%"))]
+    if not records:
         raise ParseError("empty edge-list file")
-    head = lines[0].split()
+    head_lineno, head = records[0]
+    parts = head.split()
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = int(parts[0]), int(parts[1])
     except (IndexError, ValueError) as exc:
-        raise ParseError(f"malformed header: {lines[0]!r}", 1) from exc
+        raise ParseError(f"malformed header: {head!r}", head_lineno) from exc
     edges = []
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in records[1:]:
         parts = raw.split()
         try:
             u, v = int(parts[0]), int(parts[1])

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,6 +285,16 @@ def vmv(stack: CrossbarStack, x_h, x_v, adc: AdcParams = AdcParams()) -> tuple[f
     return stack.scale * total, diagnostics
 
 
+class _Band(NamedTuple):
+    """Compacted image of one tile band: its live (plane, column) entries only."""
+
+    r0: int
+    r1: int
+    currents: np.ndarray  # (rows, live entries) cell currents, planes in stack order
+    full_scale: float
+    entries: np.ndarray   # flat index plane * n_cols + column of each live entry
+
+
 class HwOracle:
     """Energy oracle backed by a programmed crossbar.
 
@@ -292,10 +303,18 @@ class HwOracle:
     kept off-chip.  Device samples are drawn once at construction, so the
     oracle is deterministic for a given seed and safe to query concurrently.
 
-    Plane cell currents are stacked into one matrix per tile band at
-    construction so an evaluation is a single matvec per band; outputs are
-    identical to :func:`vmv` on the same stack.  :meth:`evaluator` gives the
-    solver delta evaluation that reproduces ``__call__`` bit for bit.
+    Each tile band keeps only its live (plane, column) entries, those with
+    an ON cell in some row of the band, as one ``(rows, live)`` matrix, so an
+    evaluation is one matvec per band over the live entries.  A dead entry
+    holds OFF leakage only; it is dropped only when the band's worst-case
+    leakage, all rows active, reads as count 0, so it would read 0 in every
+    state.  Otherwise (an ideal or a fine ADC, heavy leakage) every entry is
+    live and the matrix is the band's planes side by side.  ADC counts equal
+    those of :func:`vmv` on the same stack.  The currents may differ from
+    it in the last bit, because the matvec sums a column at another
+    position; that moves a count only at an exact rounding boundary.
+    :meth:`evaluator` gives the solver delta evaluation that reproduces
+    ``__call__`` bit for bit.
     """
 
     def __init__(self, compressed: CompressedQubo, stack: CrossbarStack, adc: AdcParams):
@@ -311,8 +330,14 @@ class HwOracle:
         self._weights = np.array([p.sign * p.weight for p in stack.planes])
         self._bands = []
         for r0, r1 in stack.bands():
-            stacked = np.concatenate([p.cell_current[r0:r1] for p in stack.planes], axis=1)
-            self._bands.append((r0, r1, stacked, adc.full_scale_for(r1 - r0, stack.i_on_mean)))
+            full_scale = adc.full_scale_for(r1 - r0, stack.i_on_mean)
+            leak = np.array([(r1 - r0) * stack.off_current])  # all rows active
+            leak_reads = adc.read(leak, full_scale, stack.i_on_mean)[1][0] != 0
+            live = [p.states[r0:r1].any(axis=0) | leak_reads for p in stack.planes]
+            currents = np.concatenate([p.cell_current[r0:r1][:, keep]
+                                       for p, keep in zip(stack.planes, live)], axis=1)
+            entries = np.flatnonzero(np.concatenate(live))
+            self._bands.append(_Band(r0, r1, currents, full_scale, entries))
         # For delta evaluation: the bands each variable drives as a row
         # variable, and its column index (-1 when it is not a column variable).
         self._var_bands: list[list[int]] = [[] for _ in range(self.n)]
@@ -337,12 +362,18 @@ class HwOracle:
             raise DimensionError(f"expected length {self.n}, got shape {bits.shape}")
         return bits
 
-    def _currents(self, band, act_rows) -> np.ndarray:
-        """(planes, columns) currents of one band, every column active.
+    def _live_counts(self, band: _Band, act_rows) -> np.ndarray:
+        """ADC counts of the live entries of one band, every column active.
 
         ``act_rows`` holds the row activations (0.0 or 1.0) of that band.
         """
-        return (act_rows @ band[2]).reshape(len(self._weights), self.stack.n_cols)
+        return self.adc.read(act_rows @ band.currents, band.full_scale, self.stack.i_on_mean)[1]
+
+    def _plane_counts(self, band: _Band, act_rows) -> np.ndarray:
+        """(planes, columns) counts of one band, every column active; dead entries read 0."""
+        counts = np.zeros(len(self._weights) * self.stack.n_cols)
+        counts[band.entries] = self._live_counts(band, act_rows)
+        return counts.reshape(len(self._weights), self.stack.n_cols)
 
     def _energy(self, bits, total) -> float:
         bilinear = self.stack.scale * float(self._weights @ total)
@@ -351,11 +382,11 @@ class HwOracle:
     def __call__(self, x) -> float:
         bits = self._bits(x)
         act_rows = bits[self._phys_rows].astype(np.float64)
-        col_mask = bits[self._cols] == 1
+        active = np.flatnonzero(bits[self._cols] == 1)
         total = np.zeros(len(self._weights))
         for band in self._bands:
-            currents = self._currents(band, act_rows[band[0]:band[1]])[:, col_mask]
-            total += self.adc.read(currents, band[3], self.stack.i_on_mean)[1].sum(axis=1)
+            counts = self._plane_counts(band, act_rows[band.r0:band.r1])
+            total += counts.take(active, axis=1).sum(axis=1)
         return self._energy(bits, total)
 
     def evaluator(self):
@@ -373,31 +404,35 @@ class HwOracle:
 class HwEvaluator:
     """Delta evaluation of a multi-band :class:`HwOracle` with a quantizing ADC.
 
-    The integer cell counts of every band, plane and column are cached, all
-    columns included.  A peek re-reads only the bands that hold a flipped row
-    variable, with the matvec and readout of ``__call__``, and adds or
-    removes the cached column sums of flipped column variables; the linear
-    term is recomputed in full.  Counts are integers, so every sum is exact
-    whatever its order and each energy equals ``oracle(y)`` bit for bit.
+    The integer counts of every band's live entries are cached, all columns
+    included, together with their per-(plane, column) sums over the bands.
+    A peek re-reads only the bands that hold a flipped row variable, with
+    the kernel of ``__call__``, and adds or removes the cached column sums of
+    flipped column variables; the linear term is recomputed in full.  Counts
+    are integers, so every sum is exact whatever its order and each energy
+    equals ``oracle(y)`` bit for bit.
     """
 
     def __init__(self, oracle: HwOracle):
         self._oracle = oracle
-        self._counts = np.empty((len(oracle._bands), len(oracle._weights), oracle.stack.n_cols))
 
-    def _band_counts(self, band, act_rows) -> np.ndarray:
-        o = self._oracle
-        return o.adc.read(o._currents(band, act_rows), band[3], o.stack.i_on_mean)[1]
+    def _add(self, col_counts: np.ndarray, b: int, counts: np.ndarray):
+        """Add live counts of band ``b`` to (planes, columns) sums, in place.
+
+        A band lists each entry once, so a plain fancy-index ``+=`` is exact.
+        """
+        col_counts.reshape(-1)[self._oracle._bands[b].entries] += counts
 
     def reset(self, x, energy: float | None = None) -> float:
         o = self._oracle
         self._x = o._bits(x).copy()
         act_rows = self._x[o._phys_rows].astype(np.float64)
-        for b, band in enumerate(o._bands):
-            self._counts[b] = self._band_counts(band, act_rows[band[0]:band[1]])
-        self._col_counts = self._counts.sum(axis=0)
-        self._mask = self._x[o._cols] == 1
-        self._total = self._col_counts[:, self._mask].sum(axis=1)
+        self._counts = [o._live_counts(band, act_rows[band.r0:band.r1]) for band in o._bands]
+        self._col_counts = np.zeros((len(o._weights), o.stack.n_cols))
+        for b, counts in enumerate(self._counts):
+            self._add(self._col_counts, b, counts)
+        self._active = np.flatnonzero(self._x[o._cols] == 1)
+        self._total = self._col_counts.take(self._active, axis=1).sum(axis=1)
         self._energy = o._energy(self._x, self._total) if energy is None else energy
         return self._energy
 
@@ -407,14 +442,16 @@ class HwEvaluator:
         toggle(y, flips)
         reread = []
         for b in sorted({band for i in flips for band in o._var_bands[i]}):
-            r0, r1 = o._bands[b][:2]
-            act_rows = y[o._phys_rows[r0:r1]].astype(np.float64)
-            reread.append((b, self._band_counts(o._bands[b], act_rows)))
+            band = o._bands[b]
+            act_rows = y[o._phys_rows[band.r0:band.r1]].astype(np.float64)
+            reread.append((b, o._live_counts(band, act_rows)))
         col_counts, total = self._col_counts, self._total
         if reread:
-            change = sum(counts - self._counts[b] for b, counts in reread)
+            change = np.zeros_like(col_counts)
+            for b, counts in reread:
+                self._add(change, b, counts - self._counts[b])
             col_counts = col_counts + change
-            total = total + change[:, self._mask].sum(axis=1)
+            total = total + change.take(self._active, axis=1).sum(axis=1)
         for i in flips:
             c = o._col_of[i]
             if c >= 0:
@@ -428,7 +465,7 @@ class HwEvaluator:
         for b, counts in reread:
             self._counts[b] = counts
         self._x = y
-        self._mask = y[self._oracle._cols] == 1
+        self._active = np.flatnonzero(y[self._oracle._cols] == 1)
 
 
 def make_hw_oracle(compressed: CompressedQubo, *, bits: int = 5, ternary: bool = False,

@@ -277,6 +277,20 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, text, kind, line", [
+        ("commented.txt", "# comment\n% another\n3 1\n1 9 1\n", "maxcut", 4),
+        ("negative.cqubo", "cqubo 3 1 1\nl -1 5.0\nrows 0\ncols 1\nm 1.0\n", "cqubo", 2),
+    ], ids=["gset-line-after-comments", "cqubo-negative-linear-index"])
+    def test_parse_error_names_the_file_line(self, tmp_path, capsys, name, text, kind, line):
+        src = tmp_path / name
+        src.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve", str(src), "--kind", kind, "--max-iters", "20",
+                     "--optimum", "none", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_capacity_error_is_4(self, tmp_path):
         assert main(["solve", "--pfp", "323", "--trials", "1", "--max-iters", "50",
                      "--optimum", "brute", "--out", str(tmp_path)]) == 4

@@ -13,7 +13,7 @@ import pytest
 from qubocim.anneal import CALIBRATION_SAMPLES, AnnealConfig, mesa_solve, sa_solve
 from qubocim.compress import compress
 from qubocim.convert import Graph, coloring_to_qubo, demo_coloring_instance, maxcut_to_qubo
-from qubocim.crossbar import AdcParams, DeviceParams, HwEvaluator, make_hw_oracle
+from qubocim.crossbar import AdcParams, DeviceParams, HwEvaluator, make_hw_oracle, vmv
 from qubocim.qubo import ExactEvaluator, FullEvaluator, QuboProblem, exact_oracle
 
 NOISY = DeviceParams(i_on_rel_sigma=0.1, die_offset_sigma=0.05)
@@ -104,6 +104,78 @@ class TestHwEvaluator:
         assert evaluator.reset(x, oracle(x)) == oracle(x)
         x[[0, 5]] = 0
         assert evaluator.peek([0, 5]) == oracle(x)
+
+
+def random_states(oracle, seed, count=40):
+    """Random states of every density, plus all zeros and all ones."""
+    rng = np.random.default_rng(seed)
+    states = [(rng.random(oracle.n) < rng.random()).astype(np.int8) for _ in range(count)]
+    return states + [np.zeros(oracle.n, dtype=np.int8), np.ones(oracle.n, dtype=np.int8)]
+
+
+def reference_readout(oracle, x, all_columns=False):
+    """:func:`vmv` diagnostics of state ``x`` on the oracle's dense stack."""
+    xv = np.ones(oracle.stack.n_cols, dtype=np.int8) if all_columns else x[oracle._cols]
+    return vmv(oracle.stack, x[oracle._rows], xv, oracle.adc)[1]
+
+
+def all_entries(oracle):
+    return np.arange(len(oracle.stack.planes) * oracle.stack.n_cols)
+
+
+class TestLiveEntries:
+    """Compacted tile bands read the ADC counts of the dense reference readout."""
+
+    def multiband_oracles(self):
+        q = random_maxcut(60, 300, 1)
+        c, _ = compress(q)
+        graph, k, penalty = demo_coloring_instance()
+        ternary, _ = compress(coloring_to_qubo(graph, k, penalty)[0])
+        return [make_hw_oracle(c, bits=3, dev=NOISY, seed=1, tile_rows=4),
+                make_hw_oracle(ternary, ternary=True, dev=NOISY, seed=3, tile_rows=3)]
+
+    def test_counts_equal_dense_readout(self):
+        for oracle in self.multiband_oracles():
+            assert len(oracle._bands) > 1
+            assert sum(b.entries.size for b in oracle._bands) < \
+                len(oracle._bands) * all_entries(oracle).size  # some entries are dropped
+            for x in random_states(oracle, 11):
+                diag = reference_readout(oracle, x)
+                act_rows = x[oracle._phys_rows].astype(np.float64)
+                for b, band in enumerate(oracle._bands):
+                    counts = oracle._plane_counts(band, act_rows[band.r0:band.r1])
+                    for p in range(len(oracle.stack.planes)):
+                        want = diag["counts"][p][b]
+                        assert np.array_equal(counts[p, diag["active_cols"]], want)
+
+    def test_dead_entries_read_zero(self):
+        for oracle in self.multiband_oracles():
+            for x in random_states(oracle, 12):
+                diag = reference_readout(oracle, x, all_columns=True)
+                for b, band in enumerate(oracle._bands):
+                    dense = np.concatenate([diag["counts"][p][b]
+                                            for p in range(len(oracle.stack.planes))])
+                    dead = np.setdiff1d(all_entries(oracle), band.entries)
+                    assert dead.size and not dense[dead].any()
+
+    @pytest.mark.parametrize("dev, adc, tile_rows", [
+        (DeviceParams(i_off_ratio=0.05), AdcParams(bits=10), 14),
+        (NOISY, AdcParams(bits=None), 4),
+    ], ids=["leakage-reads-a-count", "ideal-adc"])
+    def test_every_entry_live_when_leakage_reads(self, dev, adc, tile_rows):
+        q = random_maxcut(60, 300, 1)
+        c, _ = compress(q)
+        oracle = make_hw_oracle(c, bits=3, dev=dev, seed=1, tile_rows=tile_rows, adc=adc)
+        stack = oracle.stack
+        assert len(oracle._bands) > 1
+        for band in oracle._bands:
+            leak = np.array([(band.r1 - band.r0) * stack.off_current])
+            assert adc.read(leak, band.full_scale, stack.i_on_mean)[1][0] > 0
+            assert np.array_equal(band.entries, all_entries(oracle))
+            dense = np.concatenate([p.cell_current[band.r0:band.r1] for p in stack.planes], axis=1)
+            assert np.array_equal(band.currents, dense)
+        for got, want in walk(oracle, q.n, 1):
+            assert got == want
 
 
 class TestExactEvaluator:
