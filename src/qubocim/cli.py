@@ -4,8 +4,8 @@ Runs are configured by flags, by a flat ``key=value`` config file, or both
 (flags win).  Reports are JSON, per-trial traces are CSV, and reruns with the
 same config and seed are byte-identical on the trace files.
 
-Exit codes: 0 success, 2 input parse error, 3 configuration error,
-4 capacity error.
+Exit codes: 0 success, 2 malformed or unreadable input (any I/O error),
+3 configuration error, 4 capacity error (including running out of memory).
 """
 
 from __future__ import annotations
@@ -446,18 +446,15 @@ def main(argv=None) -> int:
         if ns.command == "stats":
             return cmd_stats(ns.input, ns.out)
         raise ConfigError(f"unknown command {ns.command!r}")
-    except ParseError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:  # unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except QubocimError as exc:  # config errors and invalid instances
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

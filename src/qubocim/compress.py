@@ -18,8 +18,13 @@ The pass structure:
 
 A move may not target a deleted row or column (the entry would be lost); a
 row or column with any such stuck entry is kept instead.  This blocking rule
-is what makes the greedy lossless on every input: for all binary x,
-``compressed_energy(compress(q), x) == energy(q, x)`` exactly.
+is what makes the greedy lossless on every input: each coefficient keeps its
+value in exactly one live slot, so ``decompress(compress(q))`` has the
+coefficients of ``q``.  Energies follow: with integer coefficients,
+``compressed_energy(compress(q), x) == energy(q, x)`` exactly for all binary
+x.  With other float coefficients the two sum the same terms in another
+order, so they agree within a few ulps of the sum of the absolute
+coefficients, not bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .qubo import QuboProblem, _index, as_bits
+from .qubo import QuboProblem, _finite, _index, _size, as_bits, read_records
 
 
 @dataclass(frozen=True)
@@ -249,46 +254,40 @@ def to_text(c: CompressedQubo) -> str:
 
 def from_text(text: str) -> CompressedQubo:
     """Parse the format produced by :func:`to_text`."""
-    n = p = qn = None
+    n = p = qn = linear = None
     constant = 0.0
-    linear = None
-    row_vars: list[int] | None = None
-    col_vars: list[int] | None = None
+    index: dict[str, list[int]] = {}    # "rows" and "cols" -> their variables
     matrix_rows: list[list[float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "cqubo":
-                n, p, qn = int(parts[1]), int(parts[2]), int(parts[3])
-                linear = np.zeros(n)
-            elif parts[0] == "c":
-                constant = float(parts[1])
-            elif parts[0] == "l":
-                linear[_index(parts[1], n)] = float(parts[2])
-            elif parts[0] == "rows":
-                row_vars = [int(s) for s in parts[1:]]
-            elif parts[0] == "cols":
-                col_vars = [int(s) for s in parts[1:]]
-            elif parts[0] == "m":
-                if len(parts) - 1 != qn:
-                    raise ValueError(f"{len(parts) - 1} entries, header declares {qn} columns")
-                matrix_rows.append([float(s) for s in parts[1:]])
-            else:
-                raise ParseError(f"unknown record {parts[0]!r}", lineno)
-        except ParseError:
-            raise
-        except (IndexError, ValueError, TypeError) as exc:
-            raise ParseError(f"malformed record: {raw!r} ({exc})", lineno) from exc
+
+    def record(f):
+        nonlocal n, p, qn, linear, constant
+        if f[0] == "cqubo":
+            n, p, qn = _size(f[1]), int(f[2]), int(f[3])
+            linear = np.zeros(n)
+        elif f[0] == "c":
+            constant = _finite(f[1])
+        elif f[0] in ("rows", "cols"):
+            index[f[0]] = [int(s) for s in f[1:]]
+        elif f[0] == "l":
+            i = _index(f[1], n)
+            linear[i] = _finite(f[2])
+            return "l", i
+        elif f[0] == "m":
+            if len(f) - 1 != qn:
+                raise ValueError(f"{len(f) - 1} entries, header declares {qn} columns")
+            matrix_rows.append([_finite(s) for s in f[1:]])
+            return None  # one m line per matrix row
+        else:
+            raise ParseError(f"unknown record {f[0]!r}")
+        return f[0]  # the header, constant and index lines appear once
+
+    read_records(text, record)
     if n is None:
         raise ParseError("missing `cqubo <n> <p> <q>` header")
-    if row_vars is None or col_vars is None:
+    if len(index) < 2:
         raise ParseError("missing rows/cols index lines")
+    row_vars, col_vars = index["rows"], index["cols"]
     if len(row_vars) != p or len(col_vars) != qn or len(matrix_rows) != p:
         raise ParseError("index or matrix dimensions disagree with header")
     qprime = np.array(matrix_rows, dtype=np.float64).reshape(p, qn)
-    if not (np.isfinite(qprime).all() and np.isfinite(linear).all() and np.isfinite(constant)):
-        raise ParseError("non-finite coefficient")
     return CompressedQubo(tuple(row_vars), tuple(col_vars), qprime, linear, constant, n)

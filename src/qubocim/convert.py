@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, ParseError, UnsupportedInstanceError
-from .qubo import QuboProblem, as_bits
+from .qubo import QuboProblem, _finite, _size, as_bits, read_records
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +55,9 @@ class Graph:
         """Build from an iterable of (u, v) or (u, v, weight) tuples."""
         weights: dict[tuple[int, int], float] = {}
         for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                w = 1.0
-            else:
-                u, v, w = edge
-            key = (min(int(u), int(v)), max(int(u), int(v)))
+            u, v, w = edge if len(edge) == 3 else (*edge, 1.0)
+            u, v = int(u), int(v)
+            key = (u, v) if u < v else (v, u)
             weights[key] = weights.get(key, 0.0) + float(w)
         return cls(n_vertices, weights)
 
@@ -73,36 +70,35 @@ class Graph:
         return len(self.weights)
 
 
+def _endpoints(u: str, v: str, n: int) -> tuple[int, int]:
+    """The 0-based vertices of a 1-based edge record on ``n`` vertices."""
+    u, v = int(u) - 1, int(v) - 1
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"vertex out of range 1..{n}")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u + 1}")
+    return u, v
+
+
 def parse_dimacs_col(text: str) -> Graph:
     """Parse a DIMACS ``.col`` instance (``p edge <n> <m>`` header, 1-based ``e u v`` lines)."""
     n = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if len(parts) < 4 or parts[1] != "edge":
-                raise ParseError(f"malformed problem line: {raw!r}", lineno)
-            try:
-                n = int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"malformed problem line: {raw!r}", lineno) from exc
-        elif parts[0] == "e":
-            if n is None:
-                raise ParseError("edge record before `p edge` header", lineno)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"malformed edge record: {raw!r}", lineno) from exc
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"vertex out of range in: {raw!r}", lineno)
-            if u == v:
-                raise ParseError(f"self-loop in: {raw!r}", lineno)
-            edges.append((u - 1, v - 1))
-        else:
-            raise ParseError(f"unknown record {parts[0]!r}", lineno)
+
+    def record(f):
+        nonlocal n
+        if f[0] == "p":
+            if len(f) < 4 or f[1] != "edge":
+                raise ValueError("expected `p edge <n> <m>`")
+            n = _size(f[2])
+            return "p"
+        if f[0] != "e":
+            raise ParseError(f"unknown record {f[0]!r}")
+        if n is None:
+            raise ParseError("edge record before `p edge` header")
+        edges.append(_endpoints(f[1], f[2], n))
+
+    read_records(text, record, comments=("c",))
     if n is None:
         raise ParseError("missing `p edge <n> <m>` header")
     return Graph.from_edges(n, edges)
@@ -110,29 +106,20 @@ def parse_dimacs_col(text: str) -> Graph:
 
 def parse_gset(text: str) -> Graph:
     """Parse a Gset/rudy edge list: ``<n> <m>`` header, then 1-based ``<u> <v> [<w>]`` lines."""
-    records = [(lineno, l) for lineno, l in enumerate(text.splitlines(), start=1)
-               if l.strip() and not l.lstrip().startswith(("#", "%"))]
-    if not records:
+    header: list[int] = []
+    edges: list[tuple[int, int, float]] = []
+
+    def record(f):
+        if not header:
+            header.extend((_size(f[0]), int(f[1])))
+            return
+        u, v = _endpoints(f[0], f[1], header[0])
+        edges.append((u, v, _finite(f[2]) if len(f) > 2 else 1.0))
+
+    read_records(text, record, comments=("#", "%"))
+    if not header:
         raise ParseError("empty edge-list file")
-    head_lineno, head = records[0]
-    parts = head.split()
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"malformed header: {head!r}", head_lineno) from exc
-    edges = []
-    for lineno, raw in records[1:]:
-        parts = raw.split()
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) > 2 else 1.0
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"malformed edge record: {raw!r}", lineno) from exc
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex out of range in: {raw!r}", lineno)
-        if u == v:
-            raise ParseError(f"self-loop in: {raw!r}", lineno)
-        edges.append((u - 1, v - 1, w))
+    n, m = header
     if len(edges) != m:
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -142,14 +129,10 @@ def read_graph(path) -> Graph:
     """Load a graph file, auto-detecting DIMACS ``.col`` versus Gset edge-list layout."""
     with open(path) as f:
         text = f.read()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(("c", "p")):
-            return parse_dimacs_col(text)
-        return parse_gset(text)
-    raise ParseError("empty graph file")
+    head = text.lstrip()[:1]
+    if not head:
+        raise ParseError("empty graph file")
+    return parse_dimacs_col(text) if head in "cp" else parse_gset(text)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ParseError
+from .errors import (CapacityError, DimensionError, ParseError, QubocimError,
+                     UnsupportedInstanceError)
 
 # Chunk size for exhaustive enumeration (2**16 assignments per block).
 _ENUM_CHUNK = 16
@@ -55,7 +57,7 @@ def _canonical_quadratic(n: int, terms: Mapping[tuple[int, int], float] | Iterab
         key = (i, j) if i < j else (j, i)
         value = float(value)
         if not np.isfinite(value):
-            raise ValueError(f"non-finite coefficient at {key}")
+            raise UnsupportedInstanceError(f"non-finite coefficient at {key}")
         out[key] = out.get(key, 0.0) + value
     return {k: v for k, v in out.items() if v != 0.0}
 
@@ -65,7 +67,7 @@ def _frozen_vector(values, n: int, name: str) -> np.ndarray:
     if vec.shape != (n,):
         raise DimensionError(f"{name} must have length {n}, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"non-finite entry in {name}")
+        raise UnsupportedInstanceError(f"non-finite entry in {name}")
     vec.flags.writeable = False
     return vec
 
@@ -86,7 +88,7 @@ class QuboProblem:
         object.__setattr__(self, "linear", _frozen_vector(self.linear, self.n, "linear"))
         object.__setattr__(self, "constant", float(self.constant))
         if not np.isfinite(self.constant):
-            raise ValueError("non-finite constant")
+            raise UnsupportedInstanceError("non-finite constant")
 
     def __add__(self, other: "QuboProblem") -> "QuboProblem":
         """Coefficient-wise sum of two problems over the same variables."""
@@ -261,46 +263,83 @@ def _index(text: str, n: int) -> int:
     return i
 
 
+def _size(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"size {n} must be >= 1")
+    if n > 2**31 - 1:
+        raise CapacityError(f"size {n} exceeds the limit of 2**31 - 1")
+    return n
+
+
 def _finite(text: str) -> float:
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite coefficient {text!r}")
     return value
 
 
-def from_text(text: str) -> QuboProblem:
-    """Parse the native text format produced by :func:`to_text`."""
-    n = None
-    nnz = None
-    constant = 0.0
-    linear = None
-    offdiag: dict[tuple[int, int], float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+def read_records(text: str, handle, comments: tuple[str, ...] = ("#",)) -> None:
+    """Call ``handle(fields)`` for each record of a line-oriented text format.
+
+    A record is one line split on whitespace.  Blank lines, and lines whose
+    first field starts with one of ``comments``, are skipped.  An
+    ``IndexError``, ``ValueError`` or ``TypeError`` raised by ``handle``
+    becomes a :class:`ParseError` naming the line, and so does a
+    ``ParseError`` raised without one; any other package error, such as the
+    ``CapacityError`` of an oversized header, passes through unchanged.
+    ``handle`` returns None or the key of a record that may appear once; a
+    key returned twice is a ``ParseError`` naming the second line.
+    """
+    seen = set()
+    for line, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith(comments):
             continue
-        parts = line.split()
         try:
-            if parts[0] == "qubo":
-                n, nnz = int(parts[1]), int(parts[2])
-                if n < 1:
-                    raise ValueError("n must be >= 1")
-                linear = np.zeros(n)
-            elif parts[0] == "c":
-                constant = _finite(parts[1])
-            elif parts[0] == "l":
-                linear[_index(parts[1], n)] = _finite(parts[2])
-            elif parts[0] == "q":
-                i, j, v = _index(parts[1], n), _index(parts[2], n), _finite(parts[3])
-                if not i < j:
-                    raise ParseError(f"expected i < j, got ({i},{j})", lineno)
-                offdiag[(i, j)] = v
-            else:
-                raise ParseError(f"unknown record {parts[0]!r}", lineno)
-        except ParseError:
+            key = handle(fields)
+        except ParseError as exc:
+            if exc.line is not None:
+                raise
+            raise ParseError(str(exc), line) from None
+        except QubocimError:
             raise
         except (IndexError, ValueError, TypeError) as exc:
-            raise ParseError(f"malformed record: {raw!r} ({exc})", lineno) from exc
+            raise ParseError(f"malformed record: {raw.strip()!r} ({exc})", line) from exc
+        if key is not None:
+            if key in seen:
+                raise ParseError(f"repeated record: {raw.strip()!r}", line)
+            seen.add(key)
+
+
+def from_text(text: str) -> QuboProblem:
+    """Parse the native text format produced by :func:`to_text`."""
+    n = nnz = linear = None
+    constant = 0.0
+    offdiag: dict[tuple[int, int], float] = {}
+
+    def record(f):
+        nonlocal n, nnz, linear, constant
+        if f[0] == "qubo":
+            n, nnz = _size(f[1]), int(f[2])
+            linear = np.zeros(n)
+        elif f[0] == "c":
+            constant = _finite(f[1])
+        elif f[0] == "l":
+            i = _index(f[1], n)
+            linear[i] = _finite(f[2])
+            return "l", i
+        elif f[0] == "q":
+            i, j = _index(f[1], n), _index(f[2], n)
+            if not i < j:
+                raise ParseError(f"expected i < j, got ({i},{j})")
+            offdiag[(i, j)] = _finite(f[3])
+            return "q", i, j
+        else:
+            raise ParseError(f"unknown record {f[0]!r}")
+        return f[0]  # the header and the constant appear once
+
+    read_records(text, record)
     if n is None:
         raise ParseError("missing `qubo <n> <nnz>` header")
     if nnz != len(offdiag):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qubocim import qubo
 from qubocim.cli import load_config_file, main
 from qubocim.convert import demo_coloring_instance
 from qubocim.errors import ConfigError
@@ -264,9 +265,16 @@ class TestExitCodes:
         ("pfp_n = 35\nreduction_penalty = -1\n", ["solve", "--config", "{file}"], 3),
         (K3_DIMACS, ["sweep", "{file}", "--kind", "maxcut", "--axis", "bits",
                      "--values", "2,x"], 3),
+        ("2 1\n1 2 nan\n", ["solve", "{file}", "--kind", "maxcut"], 2),
+        ("-1 0\n", ["solve", "{file}", "--kind", "maxcut"], 2),
+        ("0 0\n", ["solve", "{file}", "--kind", "maxcut"], 2),
+        ("p edge -2 0\n", ["solve", "{file}", "--kind", "coloring"], 2),
+        ("qubo 2 2\nq 0 1 1.0\nq 0 1 1.0\n", ["solve", "{file}", "--kind", "qubo"], 2),
+        ("2 1\n1 2 1e308\n", ["solve", "{file}", "--kind", "maxcut"], 3),
     ], ids=["qubo-index", "qubo-nan", "gset-self-loop", "dimacs-self-loop", "cqubo-row",
             "colors-0", "penalty-negative", "pfp-bit-lengths", "reduction-penalty-negative",
-            "sweep-value"])
+            "sweep-value", "gset-nan-weight", "gset-negative-vertices", "gset-zero-vertices",
+            "dimacs-negative-vertices", "qubo-repeated-q", "maxcut-coefficient-overflow"])
     def test_bad_input_exits_without_traceback(self, tmp_path, capsys, text, argv, code):
         src = tmp_path / "input"
         src.write_text(text)
@@ -280,7 +288,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, text, kind, line", [
         ("commented.txt", "# comment\n% another\n3 1\n1 9 1\n", "maxcut", 4),
         ("negative.cqubo", "cqubo 3 1 1\nl -1 5.0\nrows 0\ncols 1\nm 1.0\n", "cqubo", 2),
-    ], ids=["gset-line-after-comments", "cqubo-negative-linear-index"])
+        ("weights.txt", "% weighted\n3 2\n1 2 1.5\n\n2 3 inf\n", "maxcut", 5),
+        ("repeated.qubo", "qubo 3 1\nq 1 2 1.0\nq 1 2 1.0\n", "qubo", 3),
+        ("repeated.cqubo", "cqubo 3 1 1\nl 0 1.0\nl 0 2.0\nrows 0\ncols 1\nm 1.0\n",
+         "cqubo", 3),
+        ("constant.cqubo", "cqubo 3 1 1\n# constant\nc nan\nrows 0\ncols 1\nm 1.0\n",
+         "cqubo", 3),
+    ], ids=["gset-line-after-comments", "cqubo-negative-linear-index", "gset-inf-weight",
+            "qubo-repeated-q", "cqubo-repeated-l", "cqubo-nan-constant"])
     def test_parse_error_names_the_file_line(self, tmp_path, capsys, name, text, kind, line):
         src = tmp_path / name
         src.write_text(text)
@@ -290,6 +305,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_unreadable_input_is_2(self, tmp_path, capsys):
+        binary = tmp_path / "latin1.col"
+        binary.write_bytes(b"c caf\xe9\np edge 2 1\ne 1 2\n")
+        blocker = tmp_path / "file.qubo"
+        blocker.write_text("qubo 1 0\n")
+        for path, kind in ((tmp_path, "qubo"), (blocker / "child.qubo", "qubo"),
+                           (binary, "maxcut")):
+            assert main(["solve", str(path), "--kind", kind, "--max-iters", "20",
+                         "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert main(["stats", str(tmp_path)]) == 2
+        assert main(["solve", "--config", str(tmp_path)]) == 2
+
+    def test_oversized_or_out_of_memory_is_4(self, tmp_path, monkeypatch, capsys):
+        src = tmp_path / "huge.qubo"
+        src.write_text("qubo 100000000000 0\n")
+        argv = ["solve", str(src), "--kind", "qubo", "--max-iters", "20",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 4
+        assert "exceeds the limit" in capsys.readouterr().err
+
+        def exhausted(text):
+            raise MemoryError()
+
+        monkeypatch.setattr(qubo, "from_text", exhausted)
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_capacity_error_is_4(self, tmp_path):
         assert main(["solve", "--pfp", "323", "--trials", "1", "--max-iters", "50",

@@ -168,6 +168,23 @@ class TestSignsAndSerialization:
         with pytest.raises(ParseError):
             from_text("cqubo 3 1 1\nrows 0\ncols 1\n")  # missing matrix row
 
+    @pytest.mark.parametrize("text, line", [
+        ("cqubo 3 1 1\nl 2 1.0\nl 2 1.0\nrows 0\ncols 1\nm 1.0\n", 3),
+        ("cqubo 3 1 1\nrows 0\nrows 0\ncols 1\nm 1.0\n", 3),
+    ], ids=["l", "rows"])
+    def test_repeated_record_names_the_second_line(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: repeated"):
+            from_text(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("cqubo 3 1 1\nc inf\nrows 0\ncols 1\nm 1.0\n", 2),
+        ("cqubo 3 1 1\nl 1 nan\nrows 0\ncols 1\nm 1.0\n", 2),
+        ("cqubo 3 1 1\nrows 0\ncols 1\nm -inf\n", 4),
+    ], ids=["c", "l", "m"])
+    def test_non_finite_value_names_its_line(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: .*non-finite"):
+            from_text(text)
+
     def test_dimension_error(self):
         c, _ = compress(QuboProblem(3, {(0, 1): 1.0}))
         with pytest.raises(DimensionError):

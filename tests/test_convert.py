@@ -275,6 +275,20 @@ class TestParsers:
         with pytest.raises(ParseError, match="declares"):
             parse_gset("3 2\n1 2 1\n")
 
+    @pytest.mark.parametrize("parse, text, line", [
+        (parse_gset, "-1 0\n", 1),
+        (parse_gset, "% comment\n0 0\n", 2),
+        (parse_dimacs_col, "c comment\np edge -2 0\n", 2),
+        (parse_dimacs_col, "p edge 0 0\n", 1),
+        (parse_gset, "2 1\n1 2 nan\n", 2),
+        (parse_gset, "2 1\n1 2 -inf\n", 2),
+        (parse_dimacs_col, "p edge 3 0\np edge 3 0\n", 2),
+    ], ids=["gset-negative", "gset-zero", "dimacs-negative", "dimacs-zero",
+            "gset-nan-weight", "gset-inf-weight", "dimacs-repeated-header"])
+    def test_bad_header_or_weight_names_its_line(self, parse, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse(text)
+
     def test_read_graph_autodetects(self, tmp_path):
         d = tmp_path / "a.col"
         d.write_text(self.DIMACS)

@@ -1,0 +1,154 @@
+"""Property tests over generated inputs.
+
+* No input file makes the command line raise.  Arbitrary bytes, and
+  near-valid files of every text format, go through
+  ``cli.main(["solve", ...])``; each run must end in a documented exit code
+  (0, 2, 3 or 4), and an exception escaping ``main`` fails the test.  A
+  near-valid file is a well-formed file of a random instance (at most 10**3
+  variables or vertices) after a few edits: a field replaced by a bad token,
+  a field dropped, a line repeated or deleted, or a junk line inserted.
+* Compression keeps every coefficient, and the compressed energy of every
+  assignment is the exact energy up to float64 rounding of the two sums.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qubocim import qubo
+from qubocim.cli import main
+from qubocim.compress import compress, compressed_energy, decompress
+from qubocim.compress import to_text as compressed_to_text
+
+EXIT_CODES = {0, 2, 3, 4}
+
+
+def bounded(examples: int):
+    """Deterministic and bounded settings, so tier-1 stays reproducible and fast."""
+    return settings(derandomize=True, database=None, deadline=None, max_examples=examples,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+BAD_TOKENS = ["x", "-1", "0", "0.5", "nan", "inf", "-inf", "1e308", "-1e308", "1e400",
+              "99999999999999999999", "#", "%", "c", "p", "q", "e", "m"]
+JUNK = st.one_of(st.sampled_from(["", "   ", "# note", "% note", "c note", "?"]),
+                 st.text(alphabet=" \t#%cpeqlmrows0123456789.-xnaif", max_size=12))
+COEFFICIENT = st.one_of(st.integers(-3, 3).map(float),
+                        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def instance(draw):
+    """Vertex count, weighted edges and linear terms of a small random instance."""
+    n = draw(st.one_of(st.integers(2, 8), st.integers(1, 1000)))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=12))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    weights = [draw(COEFFICIENT) for _ in edges]
+    linear = draw(st.lists(st.tuples(vertex, COEFFICIENT), max_size=4))
+    return n, dict(zip(edges, weights)), dict(linear)
+
+
+def write(fmt: str, n: int, weights: dict, linear: dict) -> str:
+    if fmt == "gset":
+        return f"{n} {len(weights)}\n" + "".join(
+            f"{u + 1} {v + 1} {w!r}\n" for (u, v), w in weights.items())
+    if fmt == "dimacs":
+        return f"c random\np edge {n} {len(weights)}\n" + "".join(
+            f"e {u + 1} {v + 1}\n" for (u, v) in weights)
+    vector = [linear.get(i, 0.0) for i in range(n)]
+    problem = qubo.QuboProblem(n, weights, vector, 1.5)
+    if fmt == "qubo":
+        return qubo.to_text(problem)
+    return compressed_to_text(compress(problem)[0])
+
+
+@st.composite
+def near_valid(draw, fmt: str):
+    """A well-formed ``fmt`` file after zero to three random edits."""
+    lines = write(fmt, *draw(instance())).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        # Bad tokens reach the most checks, so they are drawn twice as often.
+        edit = draw(st.sampled_from(["token", "token", "drop", "repeat", "delete", "junk"]))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        fields = lines[at].split() if lines else []
+        if edit == "junk" or not fields:
+            lines.insert(at, draw(JUNK))
+        elif edit == "token":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+            lines[at] = " ".join(fields)
+        elif edit == "drop":
+            lines[at] = " ".join(fields[:-1])
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        else:
+            del lines[at]
+    return "\n".join(lines) + "\n"
+
+
+KINDS = {"qubo": ["qubo"], "cqubo": ["cqubo"],
+         "dimacs": ["maxcut", "coloring"], "gset": ["maxcut", "coloring"]}
+
+
+def solve(directory, data: bytes, argv: list[str]) -> int:
+    src = directory / "input"
+    src.write_bytes(data)
+    argv = [str(src) if a == "{file}" else a for a in argv]
+    return main(argv + ["--max-iters", "20", "--optimum", "none", "--trials", "1",
+                        "--jobs", "1", "--out", str(directory / "out")])
+
+
+@pytest.mark.parametrize("kind", ["maxcut", "coloring", "qubo", "cqubo", "config"])
+def test_arbitrary_bytes_exit_with_a_code(tmp_path_factory, kind):
+    directory = tmp_path_factory.mktemp(f"bytes-{kind}")
+    argv = (["solve", "--config", "{file}"] if kind == "config"
+            else ["solve", "{file}", "--kind", kind])
+
+    @bounded(40)
+    @given(data=st.one_of(st.binary(max_size=200),
+                          st.text(max_size=200).map(lambda t: t.encode())))
+    def check(data):
+        assert solve(directory, data, argv) in EXIT_CODES
+
+    check()
+
+
+@pytest.mark.parametrize("fmt", sorted(KINDS))
+def test_near_valid_files_exit_with_a_code(tmp_path_factory, fmt):
+    directory = tmp_path_factory.mktemp(f"records-{fmt}")
+
+    @bounded(80)
+    @given(text=near_valid(fmt), kind=st.sampled_from(KINDS[fmt]))
+    def check(text, kind):
+        assert solve(directory, text.encode(), ["solve", "{file}", "--kind", kind]) in EXIT_CODES
+
+    check()
+
+
+@st.composite
+def float_problems(draw):
+    """A QUBO over at most 8 variables with float coefficients of mixed scale."""
+    n = draw(st.integers(1, 8))
+    coefficient = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    offdiag = draw(st.dictionaries(pairs, coefficient, max_size=n * (n - 1) // 2)) if n > 1 else {}
+    linear = draw(st.lists(coefficient, min_size=n, max_size=n))
+    return qubo.QuboProblem(n, offdiag, linear, draw(coefficient))
+
+
+@bounded(60)
+@given(problem=float_problems())
+def test_compression_keeps_coefficients_and_energies(problem):
+    compressed, _ = compress(problem)
+    back = decompress(compressed)
+    assert back.offdiag == problem.offdiag
+    assert np.array_equal(back.linear, problem.linear) and back.constant == problem.constant
+    # Both energies sum the same terms in another order: each sum of k terms
+    # rounds by at most (k - 1) * eps/2 * sum |term|.
+    terms = 1 + problem.n + len(problem.offdiag)
+    scale = (abs(problem.constant) + float(np.abs(problem.linear).sum())
+             + sum(abs(v) for v in problem.offdiag.values()))
+    bound = terms * np.finfo(np.float64).eps * scale
+    for x in qubo.bit_patterns(problem.n, 0, 1 << problem.n):
+        assert abs(compressed_energy(compressed, x) - qubo.energy(problem, x)) <= bound

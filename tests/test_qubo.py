@@ -206,3 +206,17 @@ class TestSerialization:
             from_text("qubo 2 3\nq 0 1 1.0\n")  # nnz mismatch
         with pytest.raises(ParseError, match="i < j"):
             from_text("qubo 2 1\nq 1 0 1.0\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("qubo 3 2\nq 0 1 1.0\nq 0 1 2.0\n", 3),
+        ("qubo 3 0\nl 2 1.0\n# comment\nl 2 1.0\n", 4),
+        ("qubo 3 0\nc 1.0\nc 2.0\n", 3),
+        ("qubo 3 0\n\nqubo 3 0\n", 3),
+    ], ids=["q", "l", "c", "header"])
+    def test_repeated_record_names_the_second_line(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: repeated"):
+            from_text(text)
+
+    def test_comments_and_blank_lines_are_skipped(self):
+        text = "# header follows\n\nqubo 2 1\n   # indented comment\nq 0 1 2.5\n\n"
+        assert from_text(text).offdiag == {(0, 1): 2.5}
