@@ -91,14 +91,17 @@ def _coerce(name: str, text: str):
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines; ``#`` starts a comment."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(qubo.read_file(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, text = line.partition("=")
-        values[key.strip()] = _coerce(key.strip(), text)
+        try:
+            values[key.strip()] = _coerce(key.strip(), text)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -147,11 +150,11 @@ def build_instance(rc: RunConfig) -> Instance:
     if rc.source is None:
         raise ConfigError(f"{rc.kind} runs need an input file (source)")
     if rc.kind == "qubo":
-        problem = qubo.from_text(Path(rc.source).read_text())
+        problem = qubo.from_text(qubo.read_file(rc.source))
         meta = {"kind": "qubo", "source": str(rc.source), "n_vars": problem.n}
         return Instance("qubo", problem, metadata=meta)
     if rc.kind == "cqubo":
-        compressed = _compress_from_text(Path(rc.source).read_text())
+        compressed = _compress_from_text(qubo.read_file(rc.source))
         meta = {"kind": "cqubo", "source": str(rc.source),
                 "n_vars": compressed.source_n, "shape": list(compressed.shape)}
         return Instance("cqubo", None, compressed=compressed, metadata=meta)
@@ -198,9 +201,11 @@ def _build_oracle(rc: RunConfig, instance: Instance, exact: qubo.QuboProblem):
     adc = crossbar.AdcParams(bits=rc.adc_bits) if rc.adc_bits is not None else None
     oracle = crossbar.make_hw_oracle(compressed, bits=rc.bits, ternary=rc.ternary,
                                      dev=dev, adc=adc, seed=rc.seed)
+    occupied, total = oracle.stack.tile_counts()
     desc = {"type": "hw", "bits": None if rc.ternary else rc.bits,
             "ternary": rc.ternary, "sigma": rc.sigma, "off_ratio": rc.off_ratio,
-            "adc_bits": oracle.adc.bits, "energy_lsb": oracle.energy_lsb}
+            "adc_bits": oracle.adc.bits, "energy_lsb": oracle.energy_lsb,
+            "tiles_occupied": occupied, "tiles_total": total}
     eps_default = oracle.energy_lsb / 2 if oracle.energy_lsb > 0 else 1e-9
     return oracle, stats, desc, eps_default
 
@@ -221,7 +226,7 @@ def cmd_convert(rc: RunConfig) -> int:
 
 def cmd_compress(ns_input: str, out_dir: str) -> int:
     path = Path(ns_input)
-    problem = qubo.from_text(path.read_text())
+    problem = qubo.from_text(qubo.read_file(path))
     compressed, stats = compress_problem(problem)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -341,7 +346,7 @@ def cmd_sweep(rc: RunConfig, axis: str, values: list[str]) -> int:
 
 
 def cmd_stats(ns_input: str, out_file: str | None) -> int:
-    problem = qubo.from_text(Path(ns_input).read_text())
+    problem = qubo.from_text(qubo.read_file(ns_input))
     payload = {
         "n": problem.n,
         "offdiag_nonzeros": len(problem.offdiag),
@@ -446,7 +451,7 @@ def main(argv=None) -> int:
         if ns.command == "stats":
             return cmd_stats(ns.input, ns.out)
         raise ConfigError(f"unknown command {ns.command!r}")
-    except (ParseError, OSError, UnicodeDecodeError) as exc:  # unreadable input
+    except (ParseError, OSError) as exc:  # unreadable input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CapacityError, MemoryError) as exc:

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, ParseError, UnsupportedInstanceError
-from .qubo import QuboProblem, _finite, _size, as_bits, read_records
+from .qubo import QuboProblem, _check_size, _finite, _size, as_bits, read_file, read_records
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +127,7 @@ def parse_gset(text: str) -> Graph:
 
 def read_graph(path) -> Graph:
     """Load a graph file, auto-detecting DIMACS ``.col`` versus Gset edge-list layout."""
-    with open(path) as f:
-        text = f.read()
+    text = read_file(path)
     head = text.lstrip()[:1]
     if not head:
         raise ParseError("empty graph file")
@@ -240,6 +239,7 @@ def coloring_to_qubo(g: Graph, n_colors: int, penalty: float = 1.0) -> tuple[Qub
         raise ConfigError("n_colors must be >= 1")
     if penalty <= 0:
         raise ConfigError("penalty must be positive")
+    _check_size(g.n_vertices * n_colors)
     enc = ColoringEncoding(g, n_colors)
     n = max(enc.n_vars, 1)
     linear = np.zeros(n)

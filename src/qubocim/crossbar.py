@@ -7,7 +7,8 @@ die-to-die spread) or a small deterministic OFF leakage.  Signed coefficients
 are split into two nonnegative planes that are subtracted digitally;
 magnitudes are either bit-sliced over M single-bit planes recombined by
 shift-and-add, or, for matrices over {0, 1, 2}, encoded on two unit-weight
-cells per element so no shift-and-add is needed.
+cells per element so no shift-and-add is needed.  Only ON cells are stored,
+so memory follows the nonzeros of the matrix, not its area.
 
 Readout: activated rows of each 32 x 32 tile drive their columns; each active
 column's analog current goes through a shared uniform ADC and the resulting
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compress import CompressedQubo, split_signs
+from .compress import CompressedQubo
 from .errors import ConfigError, DimensionError, EncodingError
 from .qubo import FullEvaluator, as_bits, toggle
 
@@ -86,23 +87,52 @@ class AdcParams:
         return codes, np.rint(codes * full_scale / (levels * i_on_mean))
 
 
+def _dense(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values,
+           fill: float = 0) -> np.ndarray:
+    """A ``shape`` array holding ``values`` at ``(rows, cols)`` and ``fill`` elsewhere."""
+    out = np.full(shape, fill, dtype=np.asarray(values).dtype)
+    out[rows, cols] = values
+    return out
+
+
 @dataclass(frozen=True)
 class QuantizedQubo:
-    """Fixed-point image of a compressed matrix: ``Q' ~ scale * (plus - minus)``."""
+    """Fixed-point image of the nonzeros of a compressed matrix.
+
+    ``Q'[rows, cols] ~ scale * codes``: ``rows`` and ``cols`` are the
+    row-major sorted coordinates of the nonzeros of ``Q'``, ``values`` the
+    nonzeros themselves and ``codes`` their signed integer codes.  The dense
+    ``plus``, ``minus``, ``error`` and ``dequantized`` matrices are built on
+    demand.
+    """
 
     scale: float
     bits: int
-    plus: np.ndarray
-    minus: np.ndarray
-    error: np.ndarray
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    codes: np.ndarray
+    values: np.ndarray
+
+    @property
+    def plus(self) -> np.ndarray:
+        return _dense(self.shape, self.rows, self.cols, np.maximum(self.codes, 0))
+
+    @property
+    def minus(self) -> np.ndarray:
+        return _dense(self.shape, self.rows, self.cols, np.maximum(-self.codes, 0))
+
+    @property
+    def error(self) -> np.ndarray:
+        return _dense(self.shape, self.rows, self.cols, self.values - self.scale * self.codes)
 
     @property
     def dequantized(self) -> np.ndarray:
-        return self.scale * (self.plus.astype(np.float64) - self.minus.astype(np.float64))
+        return _dense(self.shape, self.rows, self.cols, self.scale * self.codes.astype(np.float64))
 
 
 def quantize(c: CompressedQubo, bits: int) -> QuantizedQubo:
-    """Round the sign-split magnitudes to ``bits``-bit integers.
+    """Round the magnitudes of the nonzeros of ``Q'`` to ``bits``-bit integers.
 
     ``scale = max|Q'| / (2**bits - 1)``; magnitudes round half away from
     zero, so every element is within ``scale/2`` of its fixed-point image.
@@ -110,30 +140,49 @@ def quantize(c: CompressedQubo, bits: int) -> QuantizedQubo:
     """
     if bits < 1:
         raise ConfigError("bits must be >= 1")
-    plus, minus = split_signs(c)
-    peak = float(np.max(np.abs(c.qprime))) if c.qprime.size else 0.0
+    qp = np.asarray(c.qprime)
+    rows, cols = np.nonzero(qp)
+    values = qp[rows, cols]
+    magnitude = np.abs(values)
+    peak = float(magnitude.max()) if values.size else 0.0
     scale = peak / ((1 << bits) - 1) if peak > 0 else 1.0
-    plus_codes = np.floor(plus / scale + 0.5).astype(np.int64)
-    minus_codes = np.floor(minus / scale + 0.5).astype(np.int64)
-    np.clip(plus_codes, 0, (1 << bits) - 1, out=plus_codes)
-    np.clip(minus_codes, 0, (1 << bits) - 1, out=minus_codes)
-    error = c.qprime - scale * (plus_codes - minus_codes)
-    return QuantizedQubo(scale, bits, plus_codes, minus_codes, error)
+    codes = np.floor(magnitude / scale + 0.5).astype(np.int64)
+    np.clip(codes, 0, (1 << bits) - 1, out=codes)
+    codes[values < 0] *= -1
+    return QuantizedQubo(scale, bits, qp.shape, rows, cols, codes, values)
 
 
 @dataclass(frozen=True)
 class Plane:
-    """One physical bit plane: sign, shift-and-add weight, cell states, sampled currents.
+    """One physical bit plane, stored as its ON cells only.
 
-    ``cell_current`` is the effective per-cell readout current (ON sample
-    where programmed, OFF leakage elsewhere), fixed at programming time.
+    ``rows`` and ``cols`` are the row-major sorted coordinates of the ON
+    cells and ``currents`` their ON currents, sampled at programming time;
+    every other cell leaks ``off_current``.  Memory is per ON cell.  The
+    dense ``states``, ``on_current`` (0.0 at OFF cells) and ``cell_current``
+    (the effective readout current of every cell) are built on demand, for
+    reference readout and small arrays.
     """
 
     sign: int
     weight: float
-    states: np.ndarray       # bool, physical rows x columns
-    on_current: np.ndarray   # float, same shape
-    cell_current: np.ndarray # float, same shape
+    shape: tuple[int, int]   # physical rows x columns
+    rows: np.ndarray
+    cols: np.ndarray
+    currents: np.ndarray
+    off_current: float
+
+    @property
+    def states(self) -> np.ndarray:
+        return _dense(self.shape, self.rows, self.cols, True)
+
+    @property
+    def on_current(self) -> np.ndarray:
+        return _dense(self.shape, self.rows, self.cols, self.currents)
+
+    @property
+    def cell_current(self) -> np.ndarray:
+        return _dense(self.shape, self.rows, self.cols, self.currents, self.off_current)
 
 
 @dataclass(frozen=True)
@@ -143,7 +192,8 @@ class CrossbarStack:
     ``row_map`` sends each physical row to its logical row (ternary encoding
     uses two physical rows per logical row).  Tiles partition each plane into
     ``tile_rows x tile_cols`` blocks, each with its own column ADC; splitting
-    across tiles is transparent in the noiseless model.
+    across tiles is transparent in the noiseless model.  Each plane holds its
+    ON cells only, so the stack's memory follows the nonzeros of ``Q'``.
     """
 
     n_rows: int
@@ -167,15 +217,32 @@ class CrossbarStack:
         """Physical rows of the first, tallest band (at least 1)."""
         return min(self.tile_rows, max(len(self.row_map), 1))
 
+    def tile_counts(self) -> tuple[int, int]:
+        """(occupied, total) tile positions; a tile is occupied when any plane
+        holds an ON cell in it."""
+        col_tiles = -(-self.n_cols // self.tile_cols)
+        occupied = np.zeros(-(-len(self.row_map) // self.tile_rows) * col_tiles, dtype=bool)
+        for p in self.planes:
+            occupied[p.rows // self.tile_rows * col_tiles + p.cols // self.tile_cols] = True
+        return int(occupied.sum()), occupied.size
 
-def _sample_on_currents(shape: tuple[int, int], dev: DeviceParams,
-                        rng: np.random.Generator, tile_rows: int, tile_cols: int) -> np.ndarray:
-    """Per-cell ON currents: per-tile die offset plus truncated (4 sigma) cell spread."""
-    rows, cols = shape
-    currents = np.empty(shape, dtype=np.float64)
-    for r0 in range(0, max(rows, 1), tile_rows):
-        for c0 in range(0, max(cols, 1), tile_cols):
-            r1, c1 = min(r0 + tile_rows, rows), min(c0 + tile_cols, cols)
+
+def _sample_on_currents(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
+                        dev: DeviceParams, rng: np.random.Generator,
+                        tile_rows: int, tile_cols: int) -> np.ndarray:
+    """ON currents of the cells at row-major sorted ``(rows, cols)``.
+
+    Every tile block of the ``shape`` array is drawn in full, a per-tile die
+    offset plus a truncated (4 sigma) cell spread, and only the given cells'
+    currents are kept, one band at a time.
+    """
+    p, q = shape
+    currents = np.empty(len(rows))
+    band = np.empty((min(tile_rows, p), q))
+    for r0 in range(0, max(p, 1), tile_rows):
+        r1 = min(r0 + tile_rows, p)
+        for c0 in range(0, max(q, 1), tile_cols):
+            c1 = min(c0 + tile_cols, q)
             if r1 <= r0 or c1 <= c0:
                 continue
             die_offset = rng.normal(0.0, dev.die_offset_sigma) if dev.die_offset_sigma > 0 else 0.0
@@ -188,25 +255,37 @@ def _sample_on_currents(shape: tuple[int, int], dev: DeviceParams,
                 while np.any(bad):
                     block[bad] = rng.normal(mean, sigma, size=int(bad.sum()))
                     bad = np.abs(block - mean) > 4.0 * sigma
-            currents[r0:r1, c0:c1] = block
+            band[:r1 - r0, c0:c1] = block
+        a, b = np.searchsorted(rows, (r0, r1))
+        currents[a:b] = band[rows[a:b] - r0, cols[a:b]]
     return currents
+
+
+def _plane(sign: int, weight: float, rows: np.ndarray, cols: np.ndarray,
+           shape: tuple[int, int], dev: DeviceParams, rng: np.random.Generator,
+           tile_rows: int, tile_cols: int) -> Plane:
+    currents = _sample_on_currents(rows, cols, shape, dev, rng, tile_rows, tile_cols)
+    for arr in (rows, cols, currents):
+        arr.flags.writeable = False
+    return Plane(sign, weight, shape, rows, cols, currents, dev.i_on_mean * dev.i_off_ratio)
 
 
 def program(qq: QuantizedQubo, dev: DeviceParams = DeviceParams(), seed: int = 0,
             tile_rows: int = 32, tile_cols: int = 32) -> CrossbarStack:
-    """Program bit-sliced planes: plane m of each sign holds bit m of the codes."""
+    """Program bit-sliced planes: plane m of each sign holds bit m of the codes.
+
+    Each plane keeps only its ON cells; the random stream is that of a full
+    draw of every tile of every plane.
+    """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    p, q = qq.plus.shape
-    off = dev.i_on_mean * dev.i_off_ratio
+    p, q = qq.shape
+    magnitude = np.abs(qq.codes)
     planes = []
-    for sign, codes in ((1, qq.plus), (-1, qq.minus)):
+    for sign, of_sign in ((1, qq.codes > 0), (-1, qq.codes < 0)):
         for m in range(qq.bits):
-            states = ((codes >> m) & 1).astype(bool)
-            on = _sample_on_currents((p, q), dev, rng, tile_rows, tile_cols)
-            cell = np.where(states, on, off)
-            for arr in (on, states, cell):
-                arr.flags.writeable = False
-            planes.append(Plane(sign, float(1 << m), states, on, cell))
+            on = of_sign & ((magnitude >> m) & 1).astype(bool)
+            planes.append(_plane(sign, float(1 << m), qq.rows[on], qq.cols[on], (p, q),
+                                 dev, rng, tile_rows, tile_cols))
     return CrossbarStack(
         n_rows=p, n_cols=q, row_map=np.arange(p, dtype=np.intp),
         planes=tuple(planes), off_current=dev.i_on_mean * dev.i_off_ratio,
@@ -230,14 +309,12 @@ def program_ternary(values: np.ndarray, dev: DeviceParams = DeviceParams(), seed
         raise EncodingError("ternary encoding requires entries in {0, 1, 2}")
     p, q = vals.shape
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    states = np.zeros((2 * p, q), dtype=bool)
-    states[0::2] = vals >= 1
-    states[1::2] = vals == 2
-    on = _sample_on_currents((2 * p, q), dev, rng, tile_rows, tile_cols)
-    cell = np.where(states, on, dev.i_on_mean * dev.i_off_ratio)
-    for arr in (on, states, cell):
-        arr.flags.writeable = False
-    plane = Plane(1, 1.0, states, on, cell)
+    rows, cols = np.nonzero(vals)
+    two = vals[rows, cols] == 2
+    rows = np.concatenate([2 * rows, 2 * rows[two] + 1])
+    cols = np.concatenate([cols, cols[two]])
+    order = np.lexsort((cols, rows))
+    plane = _plane(1, 1.0, rows[order], cols[order], (2 * p, q), dev, rng, tile_rows, tile_cols)
     return CrossbarStack(
         n_rows=p, n_cols=q, row_map=np.repeat(np.arange(p, dtype=np.intp), 2),
         planes=(plane,), off_current=dev.i_on_mean * dev.i_off_ratio,
@@ -266,10 +343,11 @@ def vmv(stack: CrossbarStack, x_h, x_v, adc: AdcParams = AdcParams()) -> tuple[f
         plane_codes = []
         plane_counts = []
         plane_sum = 0.0
+        cell_current = plane.cell_current
         for r0, r1 in stack.bands():
             act = active_rows[r0:r1]
             if active_cols.size:
-                currents = act.astype(np.float64) @ plane.cell_current[r0:r1][:, active_cols]
+                currents = act.astype(np.float64) @ cell_current[r0:r1][:, active_cols]
             else:
                 currents = np.zeros(0)
             full_scale = adc.full_scale_for(r1 - r0, stack.i_on_mean)
@@ -304,11 +382,11 @@ class HwOracle:
     oracle is deterministic for a given seed and safe to query concurrently.
 
     Each tile band keeps only its live (plane, column) entries, those with
-    an ON cell in some row of the band, as one ``(rows, live)`` matrix, so an
-    evaluation is one matvec per band over the live entries.  A dead entry
-    holds OFF leakage only; it is dropped only when the band's worst-case
-    leakage, all rows active, reads as count 0, so it would read 0 in every
-    state.  Otherwise (an ideal or a fine ADC, heavy leakage) every entry is
+    an ON cell in some row of the band, as one ``(rows, live)`` matrix built
+    from the planes' ON-cell lists, so an evaluation is one matvec per band
+    over the live entries.  A dead entry holds OFF leakage only; it is
+    dropped only when the band's worst-case leakage, all rows active, reads
+    as count 0, so it would read 0 in every state.  Otherwise (an ideal or a fine ADC, heavy leakage) every entry is
     live and the matrix is the band's planes side by side.  ADC counts equal
     those of :func:`vmv` on the same stack.  The currents may differ from
     it in the last bit, because the matvec sums a column at another
@@ -328,15 +406,25 @@ class HwOracle:
         self._linear = np.asarray(compressed.linear)
         self._constant = compressed.constant
         self._weights = np.array([p.sign * p.weight for p in stack.planes])
+        # Every ON cell of the stack, sorted by physical row, keyed by its
+        # flat entry index plane * n_cols + column.
+        rows = np.concatenate([p.rows for p in stack.planes])
+        by_row = np.argsort(rows, kind="stable")
+        rows = rows[by_row]
+        keys = np.concatenate([k * stack.n_cols + p.cols
+                               for k, p in enumerate(stack.planes)])[by_row]
+        on_currents = np.concatenate([p.currents for p in stack.planes])[by_row]
         self._bands = []
         for r0, r1 in stack.bands():
             full_scale = adc.full_scale_for(r1 - r0, stack.i_on_mean)
             leak = np.array([(r1 - r0) * stack.off_current])  # all rows active
             leak_reads = adc.read(leak, full_scale, stack.i_on_mean)[1][0] != 0
-            live = [p.states[r0:r1].any(axis=0) | leak_reads for p in stack.planes]
-            currents = np.concatenate([p.cell_current[r0:r1][:, keep]
-                                       for p, keep in zip(stack.planes, live)], axis=1)
-            entries = np.flatnonzero(np.concatenate(live))
+            a, b = np.searchsorted(rows, (r0, r1))
+            is_live = np.full(len(stack.planes) * stack.n_cols, leak_reads)
+            is_live[keys[a:b]] = True
+            entries = np.flatnonzero(is_live)
+            currents = np.full((r1 - r0, len(entries)), stack.off_current)
+            currents[rows[a:b] - r0, np.searchsorted(entries, keys[a:b])] = on_currents[a:b]
             self._bands.append(_Band(r0, r1, currents, full_scale, entries))
         # For delta evaluation: the bands each variable drives as a row
         # variable, and its column index (-1 when it is not a column variable).

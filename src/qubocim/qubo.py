@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -263,13 +264,18 @@ def _index(text: str, n: int) -> int:
     return i
 
 
+def _check_size(n: int) -> int:
+    """``n`` itself, or a :class:`CapacityError` past the limit of 2**31 - 1 variables."""
+    if n > 2**31 - 1:
+        raise CapacityError(f"size {n} exceeds the limit of 2**31 - 1")
+    return n
+
+
 def _size(text: str) -> int:
     n = int(text)
     if n < 1:
         raise ValueError(f"size {n} must be >= 1")
-    if n > 2**31 - 1:
-        raise CapacityError(f"size {n} exceeds the limit of 2**31 - 1")
-    return n
+    return _check_size(n)
 
 
 def _finite(text: str) -> float:
@@ -277,6 +283,21 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite coefficient {text!r}")
     return value
+
+
+def read_file(path) -> str:
+    """The text of an input file, decoded as UTF-8.
+
+    A byte that is not UTF-8 is a :class:`ParseError` naming the file and
+    the line it is on.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{path}:{line}: not UTF-8 ({exc.reason}: "
+                         f"byte 0x{data[exc.start]:02x})") from None
 
 
 def read_records(text: str, handle, comments: tuple[str, ...] = ("#",)) -> None:

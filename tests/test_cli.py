@@ -133,6 +133,19 @@ class TestSolve:
                                          "max_epochs", "max_iters", "flip_base",
                                          "adaptive_flips", "seed", "trials", "compress"}
 
+    def test_hw_report_counts_occupied_tiles(self, tmp_path):
+        src = tmp_path / "toy.col"
+        write_toy_col(src)
+        out = tmp_path / "run"
+        assert main(["solve", str(src), "--kind", "coloring", "--oracle", "hw",
+                     "--max-iters", "20", "--out", str(out)]) == 0
+        oracle = json.loads((out / "report.json").read_text())["oracle"]
+        assert 1 <= oracle["tiles_occupied"] <= oracle["tiles_total"]
+        assert main(["solve", str(src), "--kind", "coloring", "--max-iters", "20",
+                     "--out", str(tmp_path / "exact")]) == 0
+        exact = json.loads((tmp_path / "exact" / "report.json").read_text())["oracle"]
+        assert exact == {"type": "exact"}
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         src = tmp_path / "k3.col"
         src.write_text(K3_DIMACS)
@@ -200,6 +213,19 @@ class TestConfigFile:
         cfg.write_text("nonsense = 1\n")
         with pytest.raises(ConfigError):
             load_config_file(cfg)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("kind = maxcut\nbogus = 1\n", 2, "unknown config key 'bogus'"),
+        ("# header\n\ntrials = x\n", 3, "bad value for trials: 'x'"),
+        ("compress = maybe\n", 1, "bad boolean for compress: 'maybe'"),
+    ], ids=["unknown-key", "bad-int", "bad-bool"])
+    def test_errors_name_the_file_line(self, tmp_path, capsys, text, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{cfg}:{line}: {message}$"):
+            load_config_file(cfg)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
 
     def test_flags_override_file(self, tmp_path):
         src = tmp_path / "k3.col"
@@ -319,6 +345,37 @@ class TestExitCodes:
             assert err.startswith("error: ") and "Traceback" not in err
         assert main(["stats", str(tmp_path)]) == 2
         assert main(["solve", "--config", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xe9", 1),
+        (b"qubo 2 0\n# note\nl 0 1.\xc3\n", 3),
+        (b"c caf\xc3\xa9\r\np edge 2 1\r\ne 1 \xff2\r\n", 3),
+    ], ids=["lone-byte", "truncated-sequence", "crlf-after-utf8"])
+    def test_non_utf8_input_names_the_file_line(self, tmp_path, capsys, data, line):
+        src = tmp_path / "input.txt"
+        src.write_bytes(data)
+        for argv in (["stats", str(src)],
+                     ["solve", str(src), "--kind", "maxcut", "--out", str(tmp_path / "out")],
+                     ["solve", "--config", str(src), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {src}:{line}: not UTF-8 (") and "Traceback" not in err
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_coloring_over_the_size_limit_is_4(self, tmp_path, capsys, how):
+        src = tmp_path / "k3.col"
+        src.write_text(K3_DIMACS)
+        argv = ["solve", str(src), "--kind", "coloring", "--out", str(tmp_path / "out")]
+        if how == "flag":
+            argv += ["--colors", "10000000000000000000"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("colors = 10000000000000000000\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "exceeds the limit of 2**31 - 1" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_oversized_or_out_of_memory_is_4(self, tmp_path, monkeypatch, capsys):
         src = tmp_path / "huge.qubo"

@@ -283,3 +283,103 @@ class TestDump:
         assert any(l.startswith("plane 0 sign +1") for l in lines)
         assert sum(l.startswith("s ") for l in lines) == 2  # two physical rows
         assert all(len(l.split()) == 3 for l in lines if l.startswith("i "))
+
+
+def dense_on_currents(shape, dev, rng, tile_rows, tile_cols):
+    """The dense sampler of a stack that kept every cell: one ON current per
+    cell of every tile, a per-tile die offset plus a truncated (4 sigma) spread."""
+    rows, cols = shape
+    currents = np.empty(shape, dtype=np.float64)
+    for r0 in range(0, max(rows, 1), tile_rows):
+        for c0 in range(0, max(cols, 1), tile_cols):
+            r1, c1 = min(r0 + tile_rows, rows), min(c0 + tile_cols, cols)
+            if r1 <= r0 or c1 <= c0:
+                continue
+            die_offset = rng.normal(0.0, dev.die_offset_sigma) if dev.die_offset_sigma > 0 else 0.0
+            mean = dev.i_on_mean * (1.0 + die_offset)
+            sigma = dev.i_on_mean * dev.i_on_rel_sigma
+            block = rng.normal(mean, sigma, size=(r1 - r0, c1 - c0)) if sigma > 0 \
+                else np.full((r1 - r0, c1 - c0), mean)
+            if sigma > 0:
+                bad = np.abs(block - mean) > 4.0 * sigma
+                while np.any(bad):
+                    block[bad] = rng.normal(mean, sigma, size=int(bad.sum()))
+                    bad = np.abs(block - mean) > 4.0 * sigma
+            currents[r0:r1, c0:c1] = block
+    return currents
+
+
+def dense_tile_counts(stack):
+    """(occupied, total) tiles counted over the dense union of the plane states."""
+    states = np.zeros(stack.planes[0].states.shape, dtype=bool)
+    for plane in stack.planes:
+        states |= plane.states
+    rows, cols = states.shape
+    bands, col_tiles = -(-rows // stack.tile_rows), -(-cols // stack.tile_cols)
+    padded = np.zeros((bands * stack.tile_rows, col_tiles * stack.tile_cols), dtype=bool)
+    padded[:rows, :cols] = states
+    tiles = padded.reshape(bands, stack.tile_rows, col_tiles, stack.tile_cols)
+    return int(tiles.any(axis=(1, 3)).sum()), bands * col_tiles
+
+
+def sparse_matrix(p, q, density, seed, low=-7, high=8):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(low, high, size=(p, q))
+    return np.where(rng.random((p, q)) < density, values, 0)
+
+
+DIE = DeviceParams(i_on_rel_sigma=0.1, die_offset_sigma=0.05, i_off_ratio=2e-3)
+
+
+class TestOnCellStack:
+    def test_binary_planes_keep_the_dense_random_stream(self):
+        qq = quantize(rect(sparse_matrix(13, 17, 0.4, 21)), 3)
+        stack = program(qq, DIE, seed=5, tile_rows=4, tile_cols=5)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
+        expected = [(sign, (codes >> m) & 1 == 1, dense_on_currents((13, 17), DIE, rng, 4, 5))
+                    for sign, codes in ((1, qq.plus), (-1, qq.minus)) for m in range(3)]
+        assert len(stack.planes) == len(expected)
+        for plane, (sign, states, on) in zip(stack.planes, expected):
+            assert plane.sign == sign and states.any()
+            assert np.array_equal(plane.states, states)
+            assert np.array_equal(plane.on_current, np.where(states, on, 0.0))
+            assert np.array_equal(plane.cell_current, np.where(states, on, stack.off_current))
+
+    def test_ternary_plane_keeps_the_dense_random_stream(self):
+        values = sparse_matrix(9, 11, 0.6, 8, low=0, high=3)
+        stack = program_ternary(values, DIE, seed=4, tile_rows=4, tile_cols=5)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4)))
+        on = dense_on_currents((18, 11), DIE, rng, 4, 5)
+        states = np.zeros((18, 11), dtype=bool)
+        states[0::2] = values >= 1
+        states[1::2] = values == 2
+        (plane,) = stack.planes
+        assert np.array_equal(plane.states, states)
+        assert np.array_equal(plane.on_current, np.where(states, on, 0.0))
+        assert np.array_equal(plane.cell_current, np.where(states, on, stack.off_current))
+
+    def test_memory_is_per_on_cell(self):
+        qq = quantize(rect(sparse_matrix(200, 300, 0.002, 3)), 3)
+        stack = program(qq, DIE, seed=1)
+        for plane in stack.planes:
+            arrays = [v for v in vars(plane).values() if isinstance(v, np.ndarray)]
+            on_cells = len(plane.rows)
+            assert on_cells < 200 * 300 // 100
+            assert all(a.ndim == 1 and a.size == on_cells for a in arrays)
+            assert sum(a.nbytes for a in arrays) <= 32 * on_cells
+        assert vars(stack)["row_map"].size == 200
+
+    @pytest.mark.parametrize("matrix, tile_rows, tile_cols", [
+        (sparse_matrix(13, 17, 0.05, 2), 4, 5),
+        (sparse_matrix(40, 70, 0.01, 6), 32, 32),
+        (np.zeros((5, 9)), 2, 4),
+    ], ids=["sparse-small-tiles", "sparse-default-tiles", "zero"])
+    def test_tile_counts_match_a_dense_count(self, matrix, tile_rows, tile_cols):
+        stack = program(quantize(rect(matrix), 3), DIE, seed=0,
+                        tile_rows=tile_rows, tile_cols=tile_cols)
+        occupied, total = stack.tile_counts()
+        assert (occupied, total) == dense_tile_counts(stack)
+        assert occupied < total and (occupied > 0) == bool(matrix.any())
+        ternary = program_ternary(np.abs(matrix) % 3, DIE, seed=0,
+                                  tile_rows=tile_rows, tile_cols=tile_cols)
+        assert ternary.tile_counts() == dense_tile_counts(ternary)

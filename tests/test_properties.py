@@ -9,6 +9,10 @@
   a field dropped, a line repeated or deleted, or a junk line inserted.
 * Compression keeps every coefficient, and the compressed energy of every
   assignment is the exact energy up to float64 rounding of the two sums.
+* Noiseless readout is exact: with no cell spread, no leakage and ADC bits
+  >= ceil(log2 rows) + 1, the crossbar oracle's energy is the exact energy
+  of the dequantized matrix, for any shape, precision and tiling, on the
+  bit-sliced and the ternary encoding.
 """
 
 import numpy as np
@@ -18,7 +22,8 @@ from hypothesis import strategies as st
 
 from qubocim import qubo
 from qubocim.cli import main
-from qubocim.compress import compress, compressed_energy, decompress
+from qubocim.crossbar import AdcParams, DeviceParams, make_hw_oracle, quantize
+from qubocim.compress import CompressedQubo, compress, compressed_energy, decompress
 from qubocim.compress import to_text as compressed_to_text
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -152,3 +157,43 @@ def test_compression_keeps_coefficients_and_energies(problem):
     bound = terms * np.finfo(np.float64).eps * scale
     for x in qubo.bit_patterns(problem.n, 0, 1 << problem.n):
         assert abs(compressed_energy(compressed, x) - qubo.energy(problem, x)) <= bound
+
+
+@st.composite
+def noiseless_crossbars(draw):
+    """A rectangular matrix over disjoint row and column variables, with its encoding,
+    tiling and an ADC of at least ceil(log2 rows) + 1 bits."""
+    ternary = draw(st.booleans())
+    p, q = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    values = st.integers(0, 2) if ternary else st.integers(-40, 40)
+    matrix = np.array(draw(st.lists(values, min_size=p * q, max_size=p * q)),
+                      dtype=np.float64).reshape(p, q)
+    n = p + q
+    linear = np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)), dtype=np.float64)
+    compressed = CompressedQubo(tuple(range(p)), tuple(range(p, n)), matrix, linear,
+                                float(draw(st.integers(-5, 5))), n)
+    tile_rows, tile_cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rows = min(tile_rows, 2 * p if ternary else p)
+    adc_bits = int(np.ceil(np.log2(rows))) + 1 + draw(st.integers(0, 3))
+    return dict(compressed=compressed, ternary=ternary, bits=draw(st.integers(1, 6)),
+                tile_rows=tile_rows, tile_cols=tile_cols, adc=AdcParams(bits=adc_bits),
+                seed=draw(st.integers(0, 2**16)))
+
+
+@bounded(120)
+@given(case=noiseless_crossbars())
+def test_noiseless_readout_is_exact(case):
+    compressed = case["compressed"]
+    oracle = make_hw_oracle(compressed, dev=DeviceParams(i_on_rel_sigma=0.0, i_off_ratio=0.0),
+                            **{k: v for k, v in case.items() if k != "compressed"})
+    if case["ternary"]:
+        scale, codes = 1.0, compressed.qprime
+    else:
+        qq = quantize(compressed, case["bits"])
+        scale, codes = qq.scale, qq.plus - qq.minus
+    p = len(compressed.row_vars)
+    rng = np.random.default_rng(case["seed"])
+    for x in rng.integers(0, 2, size=(6, compressed.source_n)):
+        # The dequantized energy, with the integer code sum scaled once.
+        expected = scale * float(x[:p] @ codes @ x[p:]) + x @ compressed.linear
+        assert oracle(x) == expected + compressed.constant
