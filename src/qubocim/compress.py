@@ -37,6 +37,19 @@ from .errors import DimensionError, ParseError
 from .qubo import QuboProblem, _finite, _index, _size, as_bits, read_records
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only float64 array no caller can change.
+
+    A read-only float64 array that owns its data is taken as is, without a
+    copy (so :func:`compress` hands its ``Q'`` over); anything else is copied.
+    """
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=np.float64)
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class CompressedQubo:
     """Rectangular form: ``constant + linear.x + x[row_vars]^T qprime x[col_vars]``."""
@@ -49,18 +62,16 @@ class CompressedQubo:
     source_n: int
 
     def __post_init__(self):
-        qp = np.asarray(self.qprime, dtype=np.float64).copy()
+        qp = _frozen(self.qprime)
         if qp.shape != (len(self.row_vars), len(self.col_vars)):
             raise DimensionError(
                 f"qprime shape {qp.shape} does not match "
                 f"({len(self.row_vars)}, {len(self.col_vars)})")
-        lin = np.asarray(self.linear, dtype=np.float64).copy()
+        lin = _frozen(self.linear)
         if lin.shape != (self.source_n,):
             raise DimensionError(f"linear must have length {self.source_n}")
         if any(not 0 <= v < self.source_n for v in (*self.row_vars, *self.col_vars)):
             raise DimensionError(f"row or column variable outside 0..{self.source_n - 1}")
-        qp.flags.writeable = False
-        lin.flags.writeable = False
         object.__setattr__(self, "qprime", qp)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "row_vars", tuple(int(i) for i in self.row_vars))
@@ -184,9 +195,10 @@ def compress(q: QuboProblem) -> tuple[CompressedQubo, CompressionStats]:
         qprime[row_pos[i], col_pos[j]] = value
 
     if qprime.size:
-        assert np.count_nonzero(qprime, axis=1).all(), "all-zero row survived"
-        assert np.count_nonzero(qprime, axis=0).all(), "all-zero column survived"
+        assert qprime.any(axis=1).all(), "all-zero row survived"
+        assert qprime.any(axis=0).all(), "all-zero column survived"
 
+    qprime.flags.writeable = False
     compressed = CompressedQubo(row_vars, col_vars, qprime, q.linear, q.constant, n)
     nnz_after = int(np.count_nonzero(qprime))
     cells_after = qprime.size

@@ -7,8 +7,10 @@ die-to-die spread) or a small deterministic OFF leakage.  Signed coefficients
 are split into two nonnegative planes that are subtracted digitally;
 magnitudes are either bit-sliced over M single-bit planes recombined by
 shift-and-add, or, for matrices over {0, 1, 2}, encoded on two unit-weight
-cells per element so no shift-and-add is needed.  Only ON cells are stored,
-so memory follows the nonzeros of the matrix, not its area.
+cells per element so no shift-and-add is needed.  Only ON cells are stored
+and only ON cells are sampled (one die offset per tile position, then one
+normal per ON cell), so memory and programming time follow the nonzeros of
+the matrix, not its area.
 
 Readout: activated rows of each 32 x 32 tile drive their columns; each active
 column's analog current goes through a shared uniform ADC and the resulting
@@ -232,33 +234,29 @@ def _sample_on_currents(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, in
                         tile_rows: int, tile_cols: int) -> np.ndarray:
     """ON currents of the cells at row-major sorted ``(rows, cols)``.
 
-    Every tile block of the ``shape`` array is drawn in full, a per-tile die
-    offset plus a truncated (4 sigma) cell spread, and only the given cells'
-    currents are kept, one band at a time.
+    The stream: one die offset per tile position of ``shape`` in row-major
+    tile order (when ``die_offset_sigma > 0``), then one standard normal
+    ``z`` per ON cell in order (when the cell spread is positive), cells with
+    ``|z| > 4`` redrawn in index order until none is left.  A cell's current
+    is ``i_on_mean * (1 + offset[tile]) + sigma * z`` with ``sigma =
+    i_on_mean * i_on_rel_sigma``.  Cost O(ON cells + tiles); nothing is
+    drawn at zero spread and zero die offset.
     """
-    p, q = shape
-    currents = np.empty(len(rows))
-    band = np.empty((min(tile_rows, p), q))
-    for r0 in range(0, max(p, 1), tile_rows):
-        r1 = min(r0 + tile_rows, p)
-        for c0 in range(0, max(q, 1), tile_cols):
-            c1 = min(c0 + tile_cols, q)
-            if r1 <= r0 or c1 <= c0:
-                continue
-            die_offset = rng.normal(0.0, dev.die_offset_sigma) if dev.die_offset_sigma > 0 else 0.0
-            mean = dev.i_on_mean * (1.0 + die_offset)
-            sigma = dev.i_on_mean * dev.i_on_rel_sigma
-            block = rng.normal(mean, sigma, size=(r1 - r0, c1 - c0)) if sigma > 0 \
-                else np.full((r1 - r0, c1 - c0), mean)
-            if sigma > 0:
-                bad = np.abs(block - mean) > 4.0 * sigma
-                while np.any(bad):
-                    block[bad] = rng.normal(mean, sigma, size=int(bad.sum()))
-                    bad = np.abs(block - mean) > 4.0 * sigma
-            band[:r1 - r0, c0:c1] = block
-        a, b = np.searchsorted(rows, (r0, r1))
-        currents[a:b] = band[rows[a:b] - r0, cols[a:b]]
-    return currents
+    mean = np.full(len(rows), dev.i_on_mean)
+    if dev.die_offset_sigma > 0:
+        col_tiles = -(-shape[1] // tile_cols)
+        offsets = rng.normal(0.0, dev.die_offset_sigma,
+                             size=-(-shape[0] // tile_rows) * col_tiles)
+        mean *= 1.0 + offsets[rows // tile_rows * col_tiles + cols // tile_cols]
+    sigma = dev.i_on_mean * dev.i_on_rel_sigma
+    if sigma == 0:
+        return mean
+    z = rng.standard_normal(len(rows))
+    bad = np.flatnonzero(np.abs(z) > 4.0)
+    while bad.size:
+        z[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(z[bad]) > 4.0]
+    return mean + sigma * z
 
 
 def _plane(sign: int, weight: float, rows: np.ndarray, cols: np.ndarray,
@@ -274,8 +272,10 @@ def program(qq: QuantizedQubo, dev: DeviceParams = DeviceParams(), seed: int = 0
             tile_rows: int = 32, tile_cols: int = 32) -> CrossbarStack:
     """Program bit-sliced planes: plane m of each sign holds bit m of the codes.
 
-    Each plane keeps only its ON cells; the random stream is that of a full
-    draw of every tile of every plane.
+    Each plane keeps only its ON cells.  Planes draw from one stream in
+    stack order (plus planes by bit, then minus planes), each as
+    :func:`_sample_on_currents` describes: per-tile die offsets, then one
+    truncated normal per ON cell, O(ON cells + tiles) per plane.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     p, q = qq.shape
@@ -299,7 +299,8 @@ def program_ternary(values: np.ndarray, dev: DeviceParams = DeviceParams(), seed
 
     Element value = number of ON cells in its vertical cell pair (0 -> 00,
     1 -> 10, 2 -> 11), so the physical array has twice the logical rows and
-    readout needs no shift-and-add.
+    readout needs no shift-and-add.  ON currents are sampled as in
+    :func:`program`, for the one plane.
     """
     vals = np.asarray(values)
     if vals.ndim != 2:

@@ -1,10 +1,13 @@
 """Tests for lossless QUBO matrix compression."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qubocim.compress import (CompressedQubo, compress, compressed_energy,
                               decompress, from_text, split_signs, to_text)
+from qubocim.convert import Graph, maxcut_to_qubo
 from qubocim.errors import DimensionError, ParseError
 from qubocim.qubo import QuboProblem, energy, energy_batch
 
@@ -217,3 +220,42 @@ class TestDecompress:
     def test_out_of_range_variable_rejected(self):
         with pytest.raises(DimensionError):
             CompressedQubo((0, 3), (1,), [[1.0], [2.0]], np.zeros(3), 0.0, 3)
+
+
+class TestQprimeOwnership:
+    def test_caller_array_is_copied(self):
+        m = np.array([[1.0, -2.0], [0.0, 3.0]])
+        lin = np.zeros(4)
+        c = CompressedQubo((0, 1), (2, 3), m, lin, 0.0, 4)
+        m[0, 0] = 99.0
+        lin[1] = 5.0
+        assert np.array_equal(c.qprime, [[1.0, -2.0], [0.0, 3.0]])
+        assert not c.linear.any()
+        assert not c.qprime.flags.writeable and not c.linear.flags.writeable
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        m = np.array([[1.0, 2.0]])
+        view = m.view()
+        view.flags.writeable = False
+        c = CompressedQubo((0,), (1, 2), view, np.zeros(3), 0.0, 3)
+        m[0, 1] = 7.0
+        assert np.array_equal(c.qprime, [[1.0, 2.0]])
+
+    def test_compress_holds_one_copy_of_qprime(self):
+        rng = np.random.default_rng(3)
+        n = 1500
+        pairs = {(int(min(u, v)), int(max(u, v)))
+                 for u, v in rng.integers(0, n, size=(3100, 2)) if u != v}
+        q, _ = maxcut_to_qubo(Graph.from_edges(n, sorted(pairs)[:3000]))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            c, _ = compress(q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert c.qprime.nbytes > 4_000_000
+        assert peak < 1.5 * c.qprime.nbytes

@@ -285,27 +285,25 @@ class TestDump:
         assert all(len(l.split()) == 3 for l in lines if l.startswith("i "))
 
 
-def dense_on_currents(shape, dev, rng, tile_rows, tile_cols):
-    """The dense sampler of a stack that kept every cell: one ON current per
-    cell of every tile, a per-tile die offset plus a truncated (4 sigma) spread."""
-    rows, cols = shape
-    currents = np.empty(shape, dtype=np.float64)
-    for r0 in range(0, max(rows, 1), tile_rows):
-        for c0 in range(0, max(cols, 1), tile_cols):
-            r1, c1 = min(r0 + tile_rows, rows), min(c0 + tile_cols, cols)
-            if r1 <= r0 or c1 <= c0:
-                continue
-            die_offset = rng.normal(0.0, dev.die_offset_sigma) if dev.die_offset_sigma > 0 else 0.0
-            mean = dev.i_on_mean * (1.0 + die_offset)
-            sigma = dev.i_on_mean * dev.i_on_rel_sigma
-            block = rng.normal(mean, sigma, size=(r1 - r0, c1 - c0)) if sigma > 0 \
-                else np.full((r1 - r0, c1 - c0), mean)
-            if sigma > 0:
-                bad = np.abs(block - mean) > 4.0 * sigma
-                while np.any(bad):
-                    block[bad] = rng.normal(mean, sigma, size=int(bad.sum()))
-                    bad = np.abs(block - mean) > 4.0 * sigma
-            currents[r0:r1, c0:c1] = block
+def reference_on_currents(states, dev, rng, tile_rows, tile_cols):
+    """ON currents of a dense boolean plane, written from the stream's spec: one
+    die offset per tile position (row-major tiles), then one standard normal per
+    ON cell (row-major cells), cells with |z| > 4 redrawn in order until none is
+    left.  OFF cells hold NaN."""
+    n_rows, n_cols = states.shape
+    tiles = [(r0, c0) for r0 in range(0, n_rows, tile_rows) for c0 in range(0, n_cols, tile_cols)]
+    offset = {tile: rng.normal(0.0, dev.die_offset_sigma) for tile in tiles} \
+        if dev.die_offset_sigma > 0 else dict.fromkeys(tiles, 0.0)
+    cells = list(zip(*np.nonzero(states)))
+    z = [0.0] * len(cells)
+    if dev.i_on_rel_sigma > 0:
+        z = [float(rng.standard_normal()) for _ in cells]
+        while any(abs(v) > 4.0 for v in z):
+            z = [float(rng.standard_normal()) if abs(v) > 4.0 else v for v in z]
+    currents = np.full(states.shape, np.nan)
+    for (r, c), v in zip(cells, z):
+        tile = (r - r % tile_rows, c - c % tile_cols)
+        currents[r, c] = dev.i_on_mean * (1.0 + offset[tile]) + dev.i_on_mean * dev.i_on_rel_sigma * v
     return currents
 
 
@@ -332,31 +330,57 @@ DIE = DeviceParams(i_on_rel_sigma=0.1, die_offset_sigma=0.05, i_off_ratio=2e-3)
 
 
 class TestOnCellStack:
-    def test_binary_planes_keep_the_dense_random_stream(self):
-        qq = quantize(rect(sparse_matrix(13, 17, 0.4, 21)), 3)
+    def test_binary_planes_pin_the_on_cell_random_stream(self):
+        matrix = sparse_matrix(13, 17, 0.4, 21)
+        matrix[matrix < 0] = np.where(matrix[matrix < 0] % 2, -5, -4)   # minus bit 1 unused
+        qq = quantize(rect(matrix), 3)
         stack = program(qq, DIE, seed=5, tile_rows=4, tile_cols=5)
+        assert [plane.rows.size > 0 for plane in stack.planes] == [True] * 4 + [False, True]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5)))
-        expected = [(sign, (codes >> m) & 1 == 1, dense_on_currents((13, 17), DIE, rng, 4, 5))
-                    for sign, codes in ((1, qq.plus), (-1, qq.minus)) for m in range(3)]
+        expected = []
+        for sign, codes in ((1, qq.plus), (-1, qq.minus)):
+            for m in range(3):
+                states = (codes >> m) & 1 == 1
+                expected.append((sign, states, reference_on_currents(states, DIE, rng, 4, 5)))
         assert len(stack.planes) == len(expected)
         for plane, (sign, states, on) in zip(stack.planes, expected):
-            assert plane.sign == sign and states.any()
+            assert plane.sign == sign
             assert np.array_equal(plane.states, states)
             assert np.array_equal(plane.on_current, np.where(states, on, 0.0))
             assert np.array_equal(plane.cell_current, np.where(states, on, stack.off_current))
 
-    def test_ternary_plane_keeps_the_dense_random_stream(self):
+    def test_ternary_plane_pins_the_on_cell_random_stream(self):
         values = sparse_matrix(9, 11, 0.6, 8, low=0, high=3)
         stack = program_ternary(values, DIE, seed=4, tile_rows=4, tile_cols=5)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4)))
-        on = dense_on_currents((18, 11), DIE, rng, 4, 5)
         states = np.zeros((18, 11), dtype=bool)
         states[0::2] = values >= 1
         states[1::2] = values == 2
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4)))
+        on = reference_on_currents(states, DIE, rng, 4, 5)
         (plane,) = stack.planes
         assert np.array_equal(plane.states, states)
         assert np.array_equal(plane.on_current, np.where(states, on, 0.0))
         assert np.array_equal(plane.cell_current, np.where(states, on, stack.off_current))
+
+    def test_truncation_redraws_follow_cell_order(self):
+        states = np.ones((250, 400), dtype=bool)
+        stack = program(quantize(rect(states), 1), DIE, seed=2)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2)))
+        rng.normal(size=8 * 13)   # the die offsets of the 8 x 13 tiles
+        # the first draw holds at least two cells to redraw, so their order matters
+        assert np.count_nonzero(np.abs(rng.standard_normal(states.size)) > 4.0) >= 2
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2)))
+        on = reference_on_currents(states, DIE, rng, 32, 32)
+        assert np.array_equal(stack.planes[0].on_current, on)
+
+    def test_die_offset_alone_is_one_current_per_tile(self):
+        dev = DeviceParams(i_on_rel_sigma=0.0, die_offset_sigma=0.05)
+        stack = program(quantize(rect(np.ones((9, 11))), 1), dev, seed=3, tile_rows=4, tile_cols=5)
+        plane = stack.planes[0]   # the minus plane is empty
+        tiles = plane.rows // 4 * 3 + plane.cols // 5
+        per_tile = {t: set(plane.currents[tiles == t]) for t in range(9)}
+        assert all(len(currents) == 1 for currents in per_tile.values())
+        assert len({c for currents in per_tile.values() for c in currents}) == 9
 
     def test_memory_is_per_on_cell(self):
         qq = quantize(rect(sparse_matrix(200, 300, 0.002, 3)), 3)
