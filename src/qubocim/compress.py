@@ -3,10 +3,11 @@
 The off-diagonal part of a QUBO is a symmetric form: the coefficient of
 ``x_i x_j`` may sit at slot (i, j) or at its mirror (j, i) without changing
 the energy.  The compression exploits this freedom to empty out whole rows
-and columns, shrinking an n x n matrix to a dense p x q block evaluated as
+and columns, shrinking an n x n matrix to a p x q block evaluated as
 ``x_h^T Q' x_v`` where ``x_h``/``x_v`` select the surviving row/column
-variables.  Diagonal terms never enter the matrix: they stay in ``linear``
-and are evaluated directly.
+variables.  The block is kept as the coordinates of its nonzeros, one per
+off-diagonal term.  Diagonal terms never enter the matrix: they stay in
+``linear`` and are evaluated directly.
 
 The pass structure:
 
@@ -29,7 +30,8 @@ coefficients, not bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +43,7 @@ def _frozen(a) -> np.ndarray:
     """``a`` as a read-only float64 array no caller can change.
 
     A read-only float64 array that owns its data is taken as is, without a
-    copy (so :func:`compress` hands its ``Q'`` over); anything else is copied.
+    copy (so a problem's ``linear`` is shared); anything else is copied.
     """
     if not (isinstance(a, np.ndarray) and a.dtype == np.float64
             and a.flags.owndata and not a.flags.writeable):
@@ -50,36 +52,74 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CompressedQubo:
-    """Rectangular form: ``constant + linear.x + x[row_vars]^T qprime x[col_vars]``."""
+    """Rectangular form: ``constant + linear.x + x[row_vars]^T qprime x[col_vars]``.
 
-    row_vars: tuple[int, ...]
-    col_vars: tuple[int, ...]
-    qprime: np.ndarray
-    linear: np.ndarray
-    constant: float
-    source_n: int
+    ``Q'`` is stored as the row-major sorted coordinates ``(rows, cols)`` of
+    its nonzeros, with their ``values``; memory follows the nonzeros, not
+    p x q.  ``qprime`` is the dense read-only matrix, built on first use.
+    The constructor takes a dense matrix; :meth:`from_coords` takes the
+    coordinates.
+    """
 
-    def __post_init__(self):
-        qp = _frozen(self.qprime)
-        if qp.shape != (len(self.row_vars), len(self.col_vars)):
+    row_vars: tuple[int, ...] = field(init=False)
+    col_vars: tuple[int, ...] = field(init=False)
+    rows: np.ndarray = field(init=False)
+    cols: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False)
+    linear: np.ndarray = field(init=False)
+    constant: float = field(init=False)
+    source_n: int = field(init=False)
+
+    def __init__(self, row_vars, col_vars, qprime, linear, constant: float, source_n: int):
+        qp = np.asarray(qprime, dtype=np.float64)
+        if qp.shape != (len(row_vars), len(col_vars)):
             raise DimensionError(
                 f"qprime shape {qp.shape} does not match "
-                f"({len(self.row_vars)}, {len(self.col_vars)})")
-        lin = _frozen(self.linear)
-        if lin.shape != (self.source_n,):
-            raise DimensionError(f"linear must have length {self.source_n}")
-        if any(not 0 <= v < self.source_n for v in (*self.row_vars, *self.col_vars)):
-            raise DimensionError(f"row or column variable outside 0..{self.source_n - 1}")
-        object.__setattr__(self, "qprime", qp)
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "row_vars", tuple(int(i) for i in self.row_vars))
-        object.__setattr__(self, "col_vars", tuple(int(j) for j in self.col_vars))
+                f"({len(row_vars)}, {len(col_vars)})")
+        rows, cols = np.nonzero(qp)
+        self._init(row_vars, col_vars, rows, cols, qp[rows, cols], linear, constant, source_n)
+
+    @classmethod
+    def from_coords(cls, row_vars, col_vars, rows, cols, values, linear, constant: float,
+                    source_n: int) -> "CompressedQubo":
+        """Build from the row-major sorted coordinates of distinct nonzero cells of ``Q'``."""
+        c = cls.__new__(cls)
+        c._init(row_vars, col_vars, rows, cols, values, linear, constant, source_n)
+        return c
+
+    def _init(self, row_vars, col_vars, rows, cols, values, linear, constant, source_n):
+        lin = _frozen(linear)
+        if lin.shape != (source_n,):
+            raise DimensionError(f"linear must have length {source_n}")
+        row_vars = tuple(int(i) for i in row_vars)
+        col_vars = tuple(int(j) for j in col_vars)
+        if any(not 0 <= v < source_n for v in (*row_vars, *col_vars)):
+            raise DimensionError(f"row or column variable outside 0..{source_n - 1}")
+        coords = (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), _frozen(values))
+        for a in coords:
+            a.flags.writeable = False
+        for name, value in (("row_vars", row_vars), ("col_vars", col_vars), ("rows", coords[0]),
+                            ("cols", coords[1]), ("values", coords[2]), ("linear", lin),
+                            ("constant", float(constant)), ("source_n", source_n)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return CompressedQubo.from_coords, (self.row_vars, self.col_vars, self.rows, self.cols,
+                                            self.values, self.linear, self.constant,
+                                            self.source_n)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.qprime.shape
+        return len(self.row_vars), len(self.col_vars)
+
+    @cached_property
+    def qprime(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.cols] = self.values
+        dense.flags.writeable = False
+        return dense
 
 
 @dataclass(frozen=True)
@@ -128,80 +168,72 @@ def compress(q: QuboProblem) -> tuple[CompressedQubo, CompressionStats]:
 
     Deterministic: identical problems produce identical results.  A matrix
     with nothing to prune comes back at (almost) full size; a zero
-    off-diagonal part comes back as an empty 0 x 0 block.
+    off-diagonal part comes back as an empty 0 x 0 block.  Only the greedy
+    decisions run per variable; everything else is an array operation on
+    the terms, and no p x q array is built.
     """
     n = q.n
-    entries: dict[tuple[int, int], float] = dict(q.offdiag)
-    by_row: dict[int, set[int]] = {}
-    by_col: dict[int, set[int]] = {}
-    for (i, j) in entries:
-        by_row.setdefault(i, set()).add(j)
-        by_col.setdefault(j, set()).add(i)
+    rows, cols, values = q.term_arrays()
+    order = np.argsort(np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n),
+                       kind="stable").tolist()
+    # Term k is the pair (rows[k], cols[k]) with rows[k] < cols[k], in the
+    # upper triangle until it moves.  Row i holds terms row_ptr[i]:row_ptr[i+1]
+    # of the row-sorted columns; column j the sorted-by-column rows.
+    row_ptr = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    by_col = np.argsort(cols, kind="stable")
+    col_ptr = np.searchsorted(cols[by_col], np.arange(n + 1)).tolist()
+    col_of_row, row_of_col = cols.tolist(), rows[by_col].tolist()
 
-    degree = [0] * n
-    for (i, j) in entries:
-        degree[i] += 1
-        degree[j] += 1
-    order = sorted(range(n), key=lambda i: (degree[i], i))
+    fixed_rows = [False] * n   # rows containing a fixed slot
+    fixed_cols = [False] * n   # columns containing a fixed slot
+    dead_rows = [False] * n
+    dead_cols = [False] * n
 
-    fixed_rows: set[int] = set()   # rows containing a fixed slot
-    fixed_cols: set[int] = set()   # columns containing a fixed slot
-    dead_rows: set[int] = set()
-    dead_cols: set[int] = set()
-
-    def move(i: int, j: int):
-        """Move entries[i, j] to its mirror slot (j, i).
-
-        The mirror is always empty: the input holds each pair once, in the
-        upper triangle, and a move only relocates it.
-        """
-        entries[j, i] = entries.pop((i, j))
-        by_row[i].discard(j)
-        by_col[j].discard(i)
-        by_row.setdefault(j, set()).add(i)
-        by_col.setdefault(i, set()).add(j)
-
-    # Row pass.
+    # Row pass.  A row that is not fixed still holds exactly its upper-
+    # triangle terms: a move into row j fixes row j.  Moving term (i, j) to
+    # its mirror (j, i) fixes row j and column i.
     for i in order:
-        if i in fixed_rows:
+        if fixed_rows[i]:
             continue
-        cols = by_row.get(i, set())
-        if any(j in dead_rows for j in cols):
+        targets = col_of_row[row_ptr[i]:row_ptr[i + 1]]
+        if any(dead_rows[j] for j in targets):
             continue  # a move would land in a deleted row; keep this row
-        for j in sorted(cols):
-            move(i, j)
-            fixed_rows.add(j)
-            fixed_cols.add(i)
-        dead_rows.add(i)
+        for j in targets:
+            fixed_rows[j] = True
+        if targets:
+            fixed_cols[i] = True
+        dead_rows[i] = True
 
-    # Column pass, same order, fixed marks carried over.
+    # Column pass, same order, fixed marks carried over.  A column that is
+    # not fixed holds its upper-triangle terms whose row is still live.
     for j in order:
-        if j in fixed_cols:
+        if fixed_cols[j]:
             continue
-        rows = by_col.get(j, set())
-        if rows and (j in dead_rows or any(i in dead_cols for i in rows)):
+        sources = [i for i in row_of_col[col_ptr[j]:col_ptr[j + 1]] if not dead_rows[i]]
+        if sources and (dead_rows[j] or any(dead_cols[i] for i in sources)):
             continue  # mirror slots (j, i) must land in a live row and column
-        for i in sorted(rows):
-            move(i, j)
-            fixed_cols.add(i)
-        dead_cols.add(j)
+        for i in sources:
+            fixed_cols[i] = True
+        dead_cols[j] = True
 
-    row_vars = tuple(i for i in range(n) if i not in dead_rows)
-    col_vars = tuple(j for j in range(n) if j not in dead_cols)
-    row_pos = {v: a for a, v in enumerate(row_vars)}
-    col_pos = {v: b for b, v in enumerate(col_vars)}
-    qprime = np.zeros((len(row_vars), len(col_vars)))
-    for (i, j), value in entries.items():
-        qprime[row_pos[i], col_pos[j]] = value
+    # A term moved to its mirror when its row died in the row pass or its
+    # column died in the column pass; no slot holds two terms.
+    dead_rows, dead_cols = np.array(dead_rows, dtype=bool), np.array(dead_cols, dtype=bool)
+    moved = dead_rows[rows] | dead_cols[cols]
+    slot_rows, slot_cols = np.where(moved, cols, rows), np.where(moved, rows, cols)
+    row_vars, col_vars = np.flatnonzero(~dead_rows), np.flatnonzero(~dead_cols)
+    a, b = np.searchsorted(row_vars, slot_rows), np.searchsorted(col_vars, slot_cols)
+    cell_order = np.lexsort((b, a))
+    a, b = a[cell_order], b[cell_order]
 
-    if qprime.size:
-        assert qprime.any(axis=1).all(), "all-zero row survived"
-        assert qprime.any(axis=0).all(), "all-zero column survived"
+    if len(row_vars) and len(col_vars):
+        assert np.bincount(a, minlength=len(row_vars)).all(), "all-zero row survived"
+        assert np.bincount(b, minlength=len(col_vars)).all(), "all-zero column survived"
 
-    qprime.flags.writeable = False
-    compressed = CompressedQubo(row_vars, col_vars, qprime, q.linear, q.constant, n)
-    nnz_after = int(np.count_nonzero(qprime))
-    cells_after = qprime.size
+    compressed = CompressedQubo.from_coords(row_vars.tolist(), col_vars.tolist(), a, b,
+                                            values[cell_order], q.linear, q.constant, n)
+    nnz_after = len(values)
+    cells_after = len(row_vars) * len(col_vars)
     stats = CompressionStats(
         source_n=n,
         rows_removed=n - len(row_vars),
@@ -209,9 +241,9 @@ def compress(q: QuboProblem) -> tuple[CompressedQubo, CompressionStats]:
         cells_before=n * n,
         cells_after=cells_after,
         chip_size_saving=1.0 - cells_after / (n * n),
-        sparsity_before=1.0 - len(q.offdiag) / (n * n),
+        sparsity_before=1.0 - len(values) / (n * n),
         sparsity_after=(1.0 - nnz_after / cells_after) if cells_after else 0.0,
-        offdiag_nonzeros=len(q.offdiag),
+        offdiag_nonzeros=len(values),
         linear_nonzeros=int(np.count_nonzero(q.linear)),
     )
     return compressed, stats
@@ -225,15 +257,13 @@ def decompress(c: CompressedQubo) -> QuboProblem:
     the coefficients of ``q``.  Mirror entries of a hand-written form are
     summed, and a diagonal entry joins ``linear``, as the energy requires.
     """
+    i = np.array(c.row_vars, dtype=np.intp)[c.rows]
+    j = np.array(c.col_vars, dtype=np.intp)[c.cols]
+    diagonal = i == j
     linear = np.array(c.linear)
-    terms = []
-    for a, b in zip(*np.nonzero(c.qprime)):
-        i, j, value = c.row_vars[a], c.col_vars[b], float(c.qprime[a, b])
-        if i == j:
-            linear[i] += value
-        else:
-            terms.append(((i, j), value))
-    return QuboProblem(c.source_n, terms, linear, c.constant)
+    np.add.at(linear, i[diagonal], c.values[diagonal])
+    off = ~diagonal
+    return QuboProblem.from_arrays(c.source_n, i[off], j[off], c.values[off], linear, c.constant)
 
 
 def compressed_energy(c: CompressedQubo, x) -> float:
@@ -241,7 +271,8 @@ def compressed_energy(c: CompressedQubo, x) -> float:
     bits = as_bits(x, c.source_n).astype(np.float64)
     xh = bits[list(c.row_vars)]
     xv = bits[list(c.col_vars)]
-    return float(c.constant + bits @ c.linear + xh @ c.qprime @ xv)
+    bilinear = float((xh[c.rows] * xv[c.cols]) @ c.values) if len(c.values) else 0.0
+    return float(c.constant + bits @ c.linear + bilinear)
 
 
 def split_signs(c: CompressedQubo) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +310,7 @@ def from_text(text: str) -> CompressedQubo:
         elif f[0] == "c":
             constant = _finite(f[1])
         elif f[0] in ("rows", "cols"):
-            index[f[0]] = [int(s) for s in f[1:]]
+            index[f[0]] = [_index(s, n) for s in f[1:]]
         elif f[0] == "l":
             i = _index(f[1], n)
             linear[i] = _finite(f[2])

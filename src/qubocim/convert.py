@@ -14,60 +14,84 @@ serialized problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, UnsupportedInstanceError
-from .qubo import QuboProblem, _check_size, _finite, _size, as_bits, read_file, read_records
+from .qubo import (QuboProblem, _check_size, _finite, _size, _term_columns, as_bits, merge_pairs,
+                   pair_mapping, read_file, read_records)
 
 
 # ---------------------------------------------------------------------------
 # Graphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Undirected weighted graph on vertices 0..n_vertices-1.
 
-    Parallel edges are merged by summing weights; self-loops are rejected.
+    Edges are stored once, as row-major sorted ``(u, v, w)`` arrays with
+    ``u < v`` (see :meth:`edge_arrays`).  Parallel edges are merged by
+    summing weights in input order; self-loops are rejected; zero weights
+    stay.  ``weights`` is a read-only ``{(u, v): w}`` view and ``edges`` a
+    sorted list of ``(u, v, w)``, both built on demand.
     """
 
-    n_vertices: int
-    weights: dict[tuple[int, int], float] = field(default_factory=dict)
+    n_vertices: int = field(init=False)
 
-    def __post_init__(self):
-        if self.n_vertices < 0:
-            raise ValueError("n_vertices must be >= 0")
-        merged: dict[tuple[int, int], float] = {}
-        for (u, v), w in self.weights.items():
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0.0) + float(w)
-        object.__setattr__(self, "weights", merged)
+    def __init__(self, n_vertices: int, weights: Mapping[tuple[int, int], float] | Iterable = ()):
+        self._init(n_vertices, *_term_columns(weights))
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges: Iterable) -> "Graph":
         """Build from an iterable of (u, v) or (u, v, weight) tuples."""
-        weights: dict[tuple[int, int], float] = {}
-        for edge in edges:
-            u, v, w = edge if len(edge) == 3 else (*edge, 1.0)
-            u, v = int(u), int(v)
-            key = (u, v) if u < v else (v, u)
-            weights[key] = weights.get(key, 0.0) + float(w)
-        return cls(n_vertices, weights)
+        edges = [edge if len(edge) == 3 else (*edge, 1.0) for edge in edges]
+        return cls.from_arrays(n_vertices, [e[0] for e in edges], [e[1] for e in edges],
+                               [e[2] for e in edges])
+
+    @classmethod
+    def from_arrays(cls, n_vertices: int, u, v, w) -> "Graph":
+        """Build from endpoint and weight columns in any order, with repeats."""
+        graph = cls.__new__(cls)
+        graph._init(n_vertices, u, v, w)
+        return graph
+
+    def _init(self, n_vertices, u, v, w):
+        if n_vertices < 0:
+            raise ValueError("n_vertices must be >= 0")
+        u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+        bad = (u == v) | (u < 0) | (u >= n_vertices) | (v < 0) | (v >= n_vertices)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if u[k] == v[k]:
+                raise ValueError(f"self-loop at vertex {u[k]}")
+            raise ValueError(f"edge ({u[k]},{v[k]}) out of range")
+        object.__setattr__(self, "n_vertices", n_vertices)
+        edges = merge_pairs(n_vertices, u, v, w)
+        for a in edges:
+            a.flags.writeable = False
+        object.__setattr__(self, "_edges", edges)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edges as read-only (u, v, w) arrays in sorted order."""
+        return self._edges
+
+    def __reduce__(self):
+        return Graph.from_arrays, (self.n_vertices, *self._edges)
+
+    @cached_property
+    def weights(self) -> Mapping[tuple[int, int], float]:
+        return pair_mapping(*self._edges)
 
     @property
     def edges(self) -> list[tuple[int, int, float]]:
-        return [(u, v, self.weights[(u, v)]) for (u, v) in sorted(self.weights)]
+        return list(zip(*(a.tolist() for a in self._edges)))
 
     @property
     def n_edges(self) -> int:
-        return len(self.weights)
+        return len(self._edges[2])
 
 
 def _endpoints(u: str, v: str, n: int) -> tuple[int, int]:
@@ -83,7 +107,8 @@ def _endpoints(u: str, v: str, n: int) -> tuple[int, int]:
 def parse_dimacs_col(text: str) -> Graph:
     """Parse a DIMACS ``.col`` instance (``p edge <n> <m>`` header, 1-based ``e u v`` lines)."""
     n = None
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
 
     def record(f):
         nonlocal n
@@ -96,33 +121,39 @@ def parse_dimacs_col(text: str) -> Graph:
             raise ParseError(f"unknown record {f[0]!r}")
         if n is None:
             raise ParseError("edge record before `p edge` header")
-        edges.append(_endpoints(f[1], f[2], n))
+        u, v = _endpoints(f[1], f[2], n)
+        us.append(u)
+        vs.append(v)
 
     read_records(text, record, comments=("c",))
     if n is None:
         raise ParseError("missing `p edge <n> <m>` header")
-    return Graph.from_edges(n, edges)
+    return Graph.from_arrays(n, us, vs, np.ones(len(us)))
 
 
 def parse_gset(text: str) -> Graph:
     """Parse a Gset/rudy edge list: ``<n> <m>`` header, then 1-based ``<u> <v> [<w>]`` lines."""
     header: list[int] = []
-    edges: list[tuple[int, int, float]] = []
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
 
     def record(f):
         if not header:
             header.extend((_size(f[0]), int(f[1])))
             return
         u, v = _endpoints(f[0], f[1], header[0])
-        edges.append((u, v, _finite(f[2]) if len(f) > 2 else 1.0))
+        ws.append(_finite(f[2]) if len(f) > 2 else 1.0)
+        us.append(u)
+        vs.append(v)
 
     read_records(text, record, comments=("#", "%"))
     if not header:
         raise ParseError("empty edge-list file")
     n, m = header
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if len(ws) != m:
+        raise ParseError(f"header declares {m} edges, found {len(ws)}")
+    return Graph.from_arrays(n, us, vs, ws)
 
 
 def read_graph(path) -> Graph:
@@ -156,22 +187,21 @@ def maxcut_to_qubo(g: Graph) -> tuple[QuboProblem, MaxCutEncoding]:
     ``2w x_i x_j - w x_i - w x_j``, so the minimum energy is minus the
     maximum cut weight."""
     n = max(g.n_vertices, 1)
-    linear = np.zeros(n)
-    offdiag: dict[tuple[int, int], float] = {}
-    for (u, v), w in g.weights.items():
-        offdiag[(u, v)] = offdiag.get((u, v), 0.0) + 2.0 * w
-        linear[u] -= w
-        linear[v] -= w
-    return QuboProblem(n, offdiag, linear, 0.0), MaxCutEncoding(g)
+    u, v, w = g.edge_arrays()
+    # Each vertex sums its edge weights one at a time, in edge order, as
+    # ``linear[u] -= w; linear[v] -= w`` would; negation is exact.
+    linear = 0.0 - np.bincount(np.stack([u, v], axis=1).ravel(), weights=np.repeat(w, 2),
+                               minlength=n)
+    with np.errstate(over="ignore"):  # an overflow is rejected as non-finite below
+        offdiag = 2.0 * w
+    return QuboProblem.from_arrays(n, u, v, offdiag, linear, 0.0), MaxCutEncoding(g)
 
 
 def cut_value(g: Graph, x) -> float:
     """Total weight of edges crossing the bipartition encoded by ``x``."""
     bits = as_bits(x, g.n_vertices).astype(np.float64)
-    total = 0.0
-    for (u, v), w in g.weights.items():
-        total += w * (bits[u] + bits[v] - 2.0 * bits[u] * bits[v])
-    return float(total)
+    u, v, w = g.edge_arrays()
+    return float(w @ (bits[u] + bits[v] - 2.0 * bits[u] * bits[v])) if len(w) else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -142,16 +142,14 @@ def quantize(c: CompressedQubo, bits: int) -> QuantizedQubo:
     """
     if bits < 1:
         raise ConfigError("bits must be >= 1")
-    qp = np.asarray(c.qprime)
-    rows, cols = np.nonzero(qp)
-    values = qp[rows, cols]
+    values = c.values
     magnitude = np.abs(values)
     peak = float(magnitude.max()) if values.size else 0.0
     scale = peak / ((1 << bits) - 1) if peak > 0 else 1.0
     codes = np.floor(magnitude / scale + 0.5).astype(np.int64)
     np.clip(codes, 0, (1 << bits) - 1, out=codes)
     codes[values < 0] *= -1
-    return QuantizedQubo(scale, bits, qp.shape, rows, cols, codes, values)
+    return QuantizedQubo(scale, bits, c.shape, c.rows, c.cols, codes, values)
 
 
 @dataclass(frozen=True)

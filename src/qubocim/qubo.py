@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -41,26 +43,71 @@ def as_bits(x, n: int) -> np.ndarray:
     return bits
 
 
-def _canonical_quadratic(n: int, terms: Mapping[tuple[int, int], float] | Iterable) -> dict[tuple[int, int], float]:
-    """Merge arbitrary (i, j) -> coefficient terms into canonical i < j slots.
+def _term_columns(terms: Mapping[tuple[int, int], float] | Iterable) -> tuple[np.ndarray, ...]:
+    """(i, j, value) columns of a mapping or an iterable of ``((i, j), value)``."""
+    items = list(terms.items() if isinstance(terms, Mapping) else terms)
+    try:
+        pairs = np.array([key for key, _ in items], dtype=np.int64).reshape(len(items), 2)
+    except OverflowError:
+        raise ValueError("index pair out of range") from None
+    return pairs[:, 0], pairs[:, 1], np.array([v for _, v in items], dtype=np.float64)
 
-    Mirror duplicates such as (0, 1) and (1, 0) are summed, matching the
-    symmetric-matrix reading of the quadratic form.  Exact zeros are dropped.
+
+def merge_pairs(n: int, rows, cols, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unordered pairs summed into canonical ``(i, j, value)`` columns with i < j.
+
+    Pairs come out in row-major sorted order.  Mirror and repeated pairs are
+    summed in input order, one ``+=`` at a time from 0.0 (a stable sort,
+    then ``bincount``), so every sum rounds exactly as a dict accumulating
+    the terms would round it.  Indices must lie in ``0..n-1``; zeros stay.
     """
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    out: dict[tuple[int, int], float] = {}
-    for (i, j), value in items:
-        i, j = int(i), int(j)
-        if i == j:
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    merged = np.bincount(np.cumsum(first) - 1, weights=np.asarray(values, dtype=np.float64)[order])
+    return lo[order][first], hi[order][first], merged
+
+
+def canonical_terms(n: int, rows, cols, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated, merged, zero-free off-diagonal terms as read-only arrays.
+
+    A diagonal pair or an index outside ``0..n-1`` is a ``ValueError`` and
+    a non-finite coefficient an :class:`UnsupportedInstanceError`, for the
+    first offending term in input order; a sum that overflows is
+    non-finite too.  Exact zeros are dropped.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    diagonal = rows == cols
+    outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
+    bad = diagonal | outside | ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, j = int(rows[k]), int(cols[k])
+        if diagonal[k]:
             raise ValueError(f"diagonal coefficient ({i},{i}) belongs in `linear`")
-        if not (0 <= i < n and 0 <= j < n):
+        if outside[k]:
             raise ValueError(f"index pair ({i},{j}) out of range for n={n}")
-        key = (i, j) if i < j else (j, i)
-        value = float(value)
-        if not np.isfinite(value):
-            raise UnsupportedInstanceError(f"non-finite coefficient at {key}")
-        out[key] = out.get(key, 0.0) + value
-    return {k: v for k, v in out.items() if v != 0.0}
+        raise UnsupportedInstanceError(f"non-finite coefficient at {(min(i, j), max(i, j))}")
+    rows, cols, values = merge_pairs(n, rows, cols, values)
+    if not np.all(np.isfinite(values)):
+        k = int(np.argmax(~np.isfinite(values)))
+        raise UnsupportedInstanceError(f"non-finite coefficient at {(int(rows[k]), int(cols[k]))}")
+    keep = values != 0.0
+    terms = rows[keep], cols[keep], values[keep]
+    for a in terms:
+        a.flags.writeable = False
+    return terms
+
+
+def pair_mapping(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> Mapping:
+    """Read-only ``{(i, j): value}`` view of term columns, in their order."""
+    return MappingProxyType(dict(zip(zip(rows.tolist(), cols.tolist()), values.tolist())))
 
 
 def _frozen_vector(values, n: int, name: str) -> np.ndarray:
@@ -73,67 +120,104 @@ def _frozen_vector(values, n: int, name: str) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class QuboProblem:
-    """Minimize ``constant + linear.x + sum_{i<j} offdiag[i,j] x_i x_j`` over binary x."""
+class _QuadraticForm:
+    """``n`` variables and off-diagonal terms stored once as canonical arrays.
 
-    n: int
-    offdiag: dict[tuple[int, int], float] = field(default_factory=dict)
-    linear: np.ndarray | None = None
-    constant: float = 0.0
+    The terms are row-major sorted ``(rows, cols, values)`` columns with
+    ``rows < cols``, merged by :func:`canonical_terms`; the constructor
+    takes them as a mapping or an iterable of ``((i, j), value)``, and
+    :meth:`from_arrays` as three array columns.  Subclasses are frozen
+    dataclasses whose fields are all ``init=False``, so
+    ``dataclasses.replace`` fails loudly instead of dropping the terms.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    @classmethod
+    def from_arrays(cls, n: int, rows, cols, values, vector=None, constant: float = 0.0):
+        """Build from ``(rows, cols, values)`` columns in any order, with repeats and mirrors."""
+        obj = cls.__new__(cls)
+        obj._init(n, rows, cols, values, vector, constant)
+        return obj
+
+    def _init(self, n, rows, cols, values, vector, constant):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        object.__setattr__(self, "offdiag", _canonical_quadratic(self.n, self.offdiag))
-        object.__setattr__(self, "linear", _frozen_vector(self.linear, self.n, "linear"))
-        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_terms", canonical_terms(n, rows, cols, values))
+        object.__setattr__(self, self._VECTOR, _frozen_vector(vector, n, self._VECTOR))
+        object.__setattr__(self, "constant", float(constant))
         if not np.isfinite(self.constant):
             raise UnsupportedInstanceError("non-finite constant")
+
+    def term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Off-diagonal terms as read-only (rows, cols, values) arrays in sorted key order."""
+        return self._terms
+
+    def __reduce__(self):
+        # Rebuilt from the arrays, so a cached mapping view is not pickled.
+        return type(self).from_arrays, (self.n, *self._terms, getattr(self, self._VECTOR),
+                                        self.constant)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class QuboProblem(_QuadraticForm):
+    """Minimize ``constant + linear.x + sum_{i<j} offdiag[i,j] x_i x_j`` over binary x.
+
+    ``offdiag`` is a read-only ``{(i, j): value}`` view of the term arrays,
+    built on first use.
+    """
+
+    _VECTOR = "linear"
+    n: int = field(init=False)
+    linear: np.ndarray = field(init=False)
+    constant: float = field(init=False)
+
+    def __init__(self, n: int, offdiag=(), linear=None, constant: float = 0.0):
+        self._init(n, *_term_columns(offdiag), linear, constant)
+
+    @cached_property
+    def offdiag(self) -> Mapping[tuple[int, int], float]:
+        return pair_mapping(*self._terms)
 
     def __add__(self, other: "QuboProblem") -> "QuboProblem":
         """Coefficient-wise sum of two problems over the same variables."""
         if other.n != self.n:
             raise DimensionError("cannot add problems of different size")
-        merged = dict(self.offdiag)
-        for key, value in other.offdiag.items():
-            merged[key] = merged.get(key, 0.0) + value
-        return QuboProblem(self.n, merged, np.asarray(self.linear) + other.linear,
-                           self.constant + other.constant)
-
-    def term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Off-diagonal terms as (rows, cols, values) arrays in sorted key order."""
-        keys = sorted(self.offdiag)
-        rows = np.fromiter((k[0] for k in keys), dtype=np.intp, count=len(keys))
-        cols = np.fromiter((k[1] for k in keys), dtype=np.intp, count=len(keys))
-        vals = np.fromiter((self.offdiag[k] for k in keys), dtype=np.float64, count=len(keys))
-        return rows, cols, vals
+        terms = [np.concatenate(pair) for pair in zip(self._terms, other._terms)]
+        return QuboProblem.from_arrays(self.n, *terms, np.asarray(self.linear) + other.linear,
+                                       self.constant + other.constant)
 
 
-@dataclass(frozen=True)
-class IsingModel:
-    """``constant + sum_i fields[i]*s_i + sum_{i<j} couplings[i,j]*s_i*s_j`` over spins in {-1,+1}."""
+@dataclass(frozen=True, init=False, eq=False)
+class IsingModel(_QuadraticForm):
+    """``constant + sum_i fields[i]*s_i + sum_{i<j} couplings[i,j]*s_i*s_j`` over spins in {-1,+1}.
 
-    n: int
-    couplings: dict[tuple[int, int], float] = field(default_factory=dict)
-    fields: np.ndarray | None = None
-    constant: float = 0.0
+    ``couplings`` is a read-only ``{(i, j): value}`` view of the term
+    arrays, built on first use.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        object.__setattr__(self, "couplings", _canonical_quadratic(self.n, self.couplings))
-        object.__setattr__(self, "fields", _frozen_vector(self.fields, self.n, "fields"))
-        object.__setattr__(self, "constant", float(self.constant))
+    _VECTOR = "fields"
+    n: int = field(init=False)
+    fields: np.ndarray = field(init=False)
+    constant: float = field(init=False)
+
+    def __init__(self, n: int, couplings=(), fields=None, constant: float = 0.0):
+        self._init(n, *_term_columns(couplings), fields, constant)
+
+    @cached_property
+    def couplings(self) -> Mapping[tuple[int, int], float]:
+        return pair_mapping(*self._terms)
+
+
+def _pair_sum(x: np.ndarray, terms) -> float:
+    """``sum_k values[k] * x[rows[k]] * x[cols[k]]`` over term columns."""
+    rows, cols, values = terms
+    return float((x[rows] * x[cols]) @ values) if len(values) else 0.0
 
 
 def energy(q: QuboProblem, x) -> float:
     """Exact QUBO energy of a binary assignment."""
     bits = as_bits(x, q.n).astype(np.float64)
-    total = q.constant + float(bits @ q.linear)
-    for (i, j), value in q.offdiag.items():
-        total += value * bits[i] * bits[j]
-    return float(total)
+    return q.constant + float(bits @ q.linear) + _pair_sum(bits, q.term_arrays())
 
 
 def energy_batch(q: QuboProblem, X: np.ndarray) -> np.ndarray:
@@ -155,10 +239,16 @@ def ising_energy(m: IsingModel, spins) -> float:
         raise DimensionError(f"expected a spin vector of length {m.n}, got shape {s.shape}")
     if np.any(np.abs(s) != 1):
         raise ValueError("spin entries must be -1 or +1")
-    total = m.constant + float(s @ m.fields)
-    for (i, j), value in m.couplings.items():
-        total += value * s[i] * s[j]
-    return float(total)
+    return m.constant + float(s @ m.fields) + _pair_sum(s, m.term_arrays())
+
+
+def _per_term(vector, constant: float, terms, vector_step, constant_step) -> tuple[np.ndarray, float]:
+    """``vector`` less ``vector_step[k]`` at both ends of term k, and ``constant``
+    plus ``constant_step[k]``, applied term by term in sorted order."""
+    rows, cols, _ = terms
+    out = np.array(vector, dtype=np.float64)
+    np.subtract.at(out, np.stack([rows, cols], axis=1).ravel(), np.repeat(vector_step, 2))
+    return out, float(np.cumsum(np.concatenate([[constant], constant_step]))[-1])
 
 
 def ising_to_qubo(m: IsingModel) -> QuboProblem:
@@ -170,28 +260,21 @@ def ising_to_qubo(m: IsingModel) -> QuboProblem:
         J_ij s_i s_j -> 4 J_ij x_i x_j - 2 J_ij (x_i + x_j) + J_ij
         h_i s_i      -> -2 h_i x_i + h_i
     """
-    linear = -2.0 * np.asarray(m.fields)
-    constant = m.constant + float(np.sum(m.fields))
-    offdiag: dict[tuple[int, int], float] = {}
-    for (i, j), jij in m.couplings.items():
-        offdiag[(i, j)] = 4.0 * jij
-        linear[i] -= 2.0 * jij
-        linear[j] -= 2.0 * jij
-        constant += jij
-    return QuboProblem(m.n, offdiag, linear, constant)
+    terms = m.term_arrays()
+    rows, cols, j = terms
+    linear, constant = _per_term(-2.0 * np.asarray(m.fields), m.constant + float(np.sum(m.fields)),
+                                 terms, 2.0 * j, j)
+    return QuboProblem.from_arrays(m.n, rows, cols, 4.0 * j, linear, constant)
 
 
 def qubo_to_ising(q: QuboProblem) -> IsingModel:
     """Inverse change of variables, ``x_i = (1 - s_i) / 2``."""
-    fields = -0.5 * np.asarray(q.linear)
-    constant = q.constant + 0.5 * float(np.sum(q.linear))
-    couplings: dict[tuple[int, int], float] = {}
-    for (i, j), value in q.offdiag.items():
-        couplings[(i, j)] = 0.25 * value
-        fields[i] -= 0.25 * value
-        fields[j] -= 0.25 * value
-        constant += 0.25 * value
-    return IsingModel(q.n, couplings, fields, constant)
+    terms = q.term_arrays()
+    rows, cols, values = terms
+    quarter = 0.25 * values
+    fields, constant = _per_term(-0.5 * np.asarray(q.linear),
+                                 q.constant + 0.5 * float(np.sum(q.linear)), terms, quarter, quarter)
+    return IsingModel.from_arrays(q.n, rows, cols, quarter, fields, constant)
 
 
 def bit_patterns(n: int, start: int, stop: int) -> np.ndarray:
@@ -236,7 +319,7 @@ def brute_force_minimize(q: QuboProblem, cap: int = 24) -> tuple[np.ndarray, flo
 def sparsity(q: QuboProblem) -> float:
     """Fraction of zeros in the upper-triangular-plus-diagonal representation."""
     cells = q.n * (q.n + 1) // 2
-    nonzeros = len(q.offdiag) + int(np.count_nonzero(q.linear))
+    nonzeros = len(q.term_arrays()[2]) + int(np.count_nonzero(q.linear))
     return 1.0 - nonzeros / cells
 
 
@@ -248,12 +331,11 @@ def to_text(q: QuboProblem) -> str:
     order, then ``q <i> <j> <value>`` records (i < j) in sorted order.  Floats
     are written with ``repr`` so the round trip is bit exact.
     """
-    lines = [f"qubo {q.n} {len(q.offdiag)}", f"c {float(q.constant)!r}"]
-    for i in range(q.n):
-        if q.linear[i] != 0.0:
-            lines.append(f"l {i} {float(q.linear[i])!r}")
-    for (i, j) in sorted(q.offdiag):
-        lines.append(f"q {i} {j} {float(q.offdiag[(i, j)])!r}")
+    rows, cols, values = q.term_arrays()
+    lines = [f"qubo {q.n} {len(values)}", f"c {float(q.constant)!r}"]
+    nonzero = np.flatnonzero(q.linear)
+    lines += [f"l {i} {v!r}" for i, v in zip(nonzero.tolist(), q.linear[nonzero].tolist())]
+    lines += [f"q {i} {j} {v!r}" for i, j, v in zip(rows.tolist(), cols.tolist(), values.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -337,7 +419,9 @@ def from_text(text: str) -> QuboProblem:
     """Parse the native text format produced by :func:`to_text`."""
     n = nnz = linear = None
     constant = 0.0
-    offdiag: dict[tuple[int, int], float] = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
 
     def record(f):
         nonlocal n, nnz, linear, constant
@@ -354,7 +438,9 @@ def from_text(text: str) -> QuboProblem:
             i, j = _index(f[1], n), _index(f[2], n)
             if not i < j:
                 raise ParseError(f"expected i < j, got ({i},{j})")
-            offdiag[(i, j)] = _finite(f[3])
+            values.append(_finite(f[3]))
+            rows.append(i)
+            cols.append(j)
             return "q", i, j
         else:
             raise ParseError(f"unknown record {f[0]!r}")
@@ -363,9 +449,9 @@ def from_text(text: str) -> QuboProblem:
     read_records(text, record)
     if n is None:
         raise ParseError("missing `qubo <n> <nnz>` header")
-    if nnz != len(offdiag):
-        raise ParseError(f"header declares {nnz} off-diagonal records, found {len(offdiag)}")
-    return QuboProblem(n, offdiag, linear, constant)
+    if nnz != len(values):
+        raise ParseError(f"header declares {nnz} off-diagonal records, found {len(values)}")
+    return QuboProblem.from_arrays(n, rows, cols, values, linear, constant)
 
 
 def toggle(x: np.ndarray, flips) -> None:
@@ -464,6 +550,7 @@ class ExactEvaluator:
 
     def __init__(self, oracle: ExactOracle):
         self._oracle = oracle
+        self._pairs = oracle.problem.offdiag  # built once per problem, then cached
 
     def reset(self, x, energy: float | None = None) -> float:
         o = self._oracle
@@ -478,11 +565,10 @@ class ExactEvaluator:
         x, h = self._x, self._field
         signs = [1 - 2 * int(x[i]) for i in flips]
         delta = sum(s * float(h[i]) for s, i in zip(signs, flips))
-        offdiag = self._oracle.problem.offdiag
         for a in range(1, len(flips)):
             for b in range(a):
                 i, j = sorted((int(flips[a]), int(flips[b])))
-                delta += offdiag.get((i, j), 0.0) * signs[a] * signs[b]
+                delta += self._pairs.get((i, j), 0.0) * signs[a] * signs[b]
         self._pending = (flips, float(self._energy + delta))
         return self._pending[1]
 

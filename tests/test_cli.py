@@ -273,12 +273,6 @@ class TestExitCodes:
         assert main(["solve", str(src), "--kind", "cqubo", "--max-iters", "20",
                      "--optimum", "none", "--out", str(tmp_path / "out")]) == 2
 
-    def test_cqubo_variable_out_of_range_is_3(self, tmp_path):
-        src = tmp_path / "bad.cqubo"
-        src.write_text("cqubo 3 1 1\nc 0.0\nrows 0\ncols 7\nm 1.0\n")
-        assert main(["solve", str(src), "--kind", "cqubo", "--max-iters", "20",
-                     "--optimum", "none", "--out", str(tmp_path / "out")]) == 3
-
     @pytest.mark.parametrize("text, argv, code", [
         ("qubo 3 1\nq 0 5 1.0\n", ["solve", "{file}", "--kind", "qubo"], 2),
         ("qubo 2 0\nl 0 nan\n", ["solve", "{file}", "--kind", "qubo"], 2),
@@ -320,8 +314,11 @@ class TestExitCodes:
          "cqubo", 3),
         ("constant.cqubo", "cqubo 3 1 1\n# constant\nc nan\nrows 0\ncols 1\nm 1.0\n",
          "cqubo", 3),
+        ("column.cqubo", "cqubo 3 1 1\nc 0.0\nrows 0\ncols 7\nm 1.0\n", "cqubo", 4),
+        ("row.cqubo", "cqubo 3 1 1\nc 0.0\nrows -1\ncols 1\nm 1.0\n", "cqubo", 3),
     ], ids=["gset-line-after-comments", "cqubo-negative-linear-index", "gset-inf-weight",
-            "qubo-repeated-q", "cqubo-repeated-l", "cqubo-nan-constant"])
+            "qubo-repeated-q", "cqubo-repeated-l", "cqubo-nan-constant",
+            "cqubo-column-outside-range", "cqubo-negative-row"])
     def test_parse_error_names_the_file_line(self, tmp_path, capsys, name, text, kind, line):
         src = tmp_path / name
         src.write_text(text)

@@ -8,6 +8,7 @@ import pytest
 from qubocim.compress import (CompressedQubo, compress, compressed_energy,
                               decompress, from_text, split_signs, to_text)
 from qubocim.convert import Graph, maxcut_to_qubo
+from qubocim.crossbar import make_hw_oracle
 from qubocim.errors import DimensionError, ParseError
 from qubocim.qubo import QuboProblem, energy, energy_batch
 
@@ -259,3 +260,32 @@ class TestQprimeOwnership:
                 tracemalloc.stop()
         assert c.qprime.nbytes > 4_000_000
         assert peak < 1.5 * c.qprime.nbytes
+
+    def test_hw_path_builds_no_dense_qprime(self):
+        """compress plus make_hw_oracle allocate far less than one dense p x q Q'.
+
+        The oracle keeps, per tile band, a (tile rows x live entries) current
+        matrix: 32 cells per ON cell of each bit plane, 0.10 p*q*8 bytes per
+        plane at this instance's density.  One plane (``bits=1``) leaves room
+        under the bound, and any dense p x q float64, int64 or bool array
+        would break it.
+        """
+        rng = np.random.default_rng(3)
+        n = 1500
+        pairs = {(int(min(u, v)), int(max(u, v)))
+                 for u, v in rng.integers(0, n, size=(3100, 2)) if u != v}
+        q, _ = maxcut_to_qubo(Graph.from_edges(n, sorted(pairs)[:3000]))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            c, _ = compress(q)
+            make_hw_oracle(c, bits=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        p, qn = c.shape
+        assert p * qn > 500_000
+        assert peak < 0.25 * p * qn * 8

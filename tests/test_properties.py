@@ -13,6 +13,12 @@
   >= ceil(log2 rows) + 1, the crossbar oracle's energy is the exact energy
   of the dequantized matrix, for any shape, precision and tiling, on the
   bit-sliced and the ternary encoding.
+* The term arrays of a problem are the terms a dict would merge, exactly:
+  mirrors and repeats summed in input order, exact cancellations dropped,
+  and diagonal, out-of-range and non-finite terms rejected.
+* The Ising change of variables and its inverse keep every energy.
+* The coloring and factoring QUBOs have minimum energy 0 exactly when the
+  instance is feasible (checked by brute force over at most 20 variables).
 """
 
 import numpy as np
@@ -21,10 +27,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qubocim import qubo
+from qubocim.convert import FactorizationEncoding, Graph, coloring_to_qubo, pfp_to_qubo
+from qubocim.errors import UnsupportedInstanceError
 from qubocim.cli import main
 from qubocim.crossbar import AdcParams, DeviceParams, make_hw_oracle, quantize
 from qubocim.compress import CompressedQubo, compress, compressed_energy, decompress
 from qubocim.compress import to_text as compressed_to_text
+
+from test_convert import backtracking_colorable
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -197,3 +207,108 @@ def test_noiseless_readout_is_exact(case):
         # The dequantized energy, with the integer code sum scaled once.
         expected = scale * float(x[:p] @ codes @ x[p:]) + x @ compressed.linear
         assert oracle(x) == expected + compressed.constant
+
+
+def dict_merge(terms) -> dict:
+    """The reference merge: one ``+=`` per term into canonical i < j keys, zeros dropped."""
+    merged = {}
+    for (i, j), value in terms:
+        key = (min(i, j), max(i, j))
+        merged[key] = merged.get(key, 0.0) + value
+    return {key: value for key, value in merged.items() if value != 0.0}
+
+
+@st.composite
+def term_lists(draw):
+    """Terms over at most 8 variables with mirrors, repeats and exact cancellations."""
+    n = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    terms = draw(st.lists(st.tuples(pair, COEFFICIENT), max_size=24))
+    for (i, j), value in draw(st.lists(st.sampled_from(terms), max_size=4)) if terms else []:
+        terms.insert(draw(st.integers(0, len(terms))), ((j, i), -value))
+    return n, terms
+
+
+@bounded(150)
+@given(case=term_lists())
+def test_term_arrays_equal_a_dict_merge(case):
+    n, terms = case
+    problem = qubo.QuboProblem(n, terms)
+    expected = dict_merge(terms)
+    assert problem.offdiag == expected
+    rows, cols, values = problem.term_arrays()
+    assert list(zip(zip(rows.tolist(), cols.tolist()), values.tolist())) == sorted(expected.items())
+    assert qubo.QuboProblem.from_arrays(n, *zip(*[(i, j, v) for (i, j), v in terms]) if terms
+                                        else ((), (), ())).offdiag == expected
+
+
+BAD_TERMS = {"diagonal": (ValueError, lambda n: ((1, 1), 1.0)),
+             "outside": (ValueError, lambda n: ((0, n), 1.0)),
+             "negative": (ValueError, lambda n: ((-1, 1), 1.0)),
+             "nan": (UnsupportedInstanceError, lambda n: ((0, 1), float("nan"))),
+             "inf": (UnsupportedInstanceError, lambda n: ((1, 0), float("-inf")))}
+
+
+@bounded(60)
+@given(case=term_lists(), bad=st.sampled_from(sorted(BAD_TERMS)), data=st.data())
+def test_bad_terms_are_rejected(case, bad, data):
+    n, terms = case
+    error, make = BAD_TERMS[bad]
+    terms.insert(data.draw(st.integers(0, len(terms))), make(n))
+    with pytest.raises(error):
+        qubo.QuboProblem(n, terms)
+
+
+@st.composite
+def small_problems(draw):
+    """A QUBO over at most 10 variables with integer or float coefficients."""
+    n = draw(st.integers(1, 10))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    terms = draw(st.lists(st.tuples(pairs, COEFFICIENT), max_size=30)) if n > 1 else []
+    linear = draw(st.lists(COEFFICIENT, min_size=n, max_size=n))
+    return qubo.QuboProblem(n, terms, linear, draw(COEFFICIENT))
+
+
+@bounded(80)
+@given(problem=small_problems())
+def test_ising_round_trip_keeps_every_energy(problem):
+    back = qubo.ising_to_qubo(qubo.qubo_to_ising(problem))
+    X = qubo.bit_patterns(problem.n, 0, 1 << problem.n)
+    coefficients = [problem.constant, *problem.linear, *problem.term_arrays()[2]]
+    if all(float(c).is_integer() for c in coefficients):
+        # Quarters and halves of small integers are exact, so every step is.
+        assert np.array_equal(qubo.energy_batch(back, X), qubo.energy_batch(problem, X))
+    else:
+        scale = sum(abs(c) for c in coefficients)
+        bound = 16 * len(coefficients) * np.finfo(np.float64).eps * scale
+        assert np.all(np.abs(qubo.energy_batch(back, X) - qubo.energy_batch(problem, X)) <= bound)
+
+
+@bounded(25)
+@given(data=st.data())
+def test_coloring_minimum_is_zero_exactly_when_colorable(data):
+    colors = data.draw(st.integers(1, 3))
+    vertices = data.draw(st.integers(1, 20 // colors if colors > 1 else 8))
+    pair = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+    edges = [(u, v) for u, v in data.draw(st.lists(pair, max_size=12)) if u != v]
+    graph = Graph.from_edges(vertices, edges)
+    problem, _ = coloring_to_qubo(graph, colors, data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+    minimum = qubo.brute_force_minimize(problem)[1]
+    assert minimum >= 0.0
+    assert (minimum == 0.0) == backtracking_colorable(graph, colors)
+
+
+@bounded(25)
+@given(data=st.data())
+def test_factoring_minimum_is_zero_exactly_when_feasible(data):
+    k = data.draw(st.integers(0, 3))
+    l = data.draw(st.integers(0, 4 - k if k < 3 else 1))
+    bitlen = data.draw(st.sampled_from([b for b in (k + l + 3, k + l + 4) if 2 ** b > 9]))
+    N = data.draw(st.integers(max(9, 2 ** (bitlen - 1)), 2 ** bitlen - 1).map(lambda v: v | 1))
+    problem, enc = pfp_to_qubo(FactorizationEncoding(N, k, l))
+    assert problem.n <= 20
+    feasible = any(N % p == 0 and (N // p).bit_length() == l + 2
+                   for p in range(2 ** (k + 1) + 1, 2 ** (k + 2), 2))
+    minimum = qubo.brute_force_minimize(problem)[1]
+    assert minimum >= 0.0
+    assert (minimum == 0.0) == feasible
