@@ -105,11 +105,6 @@ class CompressedQubo:
                             ("constant", float(constant)), ("source_n", source_n)):
             object.__setattr__(self, name, value)
 
-    def __reduce__(self):
-        return CompressedQubo.from_coords, (self.row_vars, self.col_vars, self.rows, self.cols,
-                                            self.values, self.linear, self.constant,
-                                            self.source_n)
-
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.row_vars), len(self.col_vars)

@@ -107,8 +107,7 @@ def _endpoints(u: str, v: str, n: int) -> tuple[int, int]:
 def parse_dimacs_col(text: str) -> Graph:
     """Parse a DIMACS ``.col`` instance (``p edge <n> <m>`` header, 1-based ``e u v`` lines)."""
     n = None
-    us: list[int] = []
-    vs: list[int] = []
+    edges: list[tuple[int, int]] = []
 
     def record(f):
         nonlocal n
@@ -121,14 +120,12 @@ def parse_dimacs_col(text: str) -> Graph:
             raise ParseError(f"unknown record {f[0]!r}")
         if n is None:
             raise ParseError("edge record before `p edge` header")
-        u, v = _endpoints(f[1], f[2], n)
-        us.append(u)
-        vs.append(v)
+        edges.append(_endpoints(f[1], f[2], n))
 
     read_records(text, record, comments=("c",))
     if n is None:
         raise ParseError("missing `p edge <n> <m>` header")
-    return Graph.from_arrays(n, us, vs, np.ones(len(us)))
+    return Graph.from_edges(n, edges)
 
 
 def parse_gset(text: str) -> Graph:
