@@ -1,4 +1,4 @@
-"""Golden runs: four small CLI commands whose outputs are pinned.
+"""Golden runs: seven small CLI commands whose outputs are pinned.
 
 Each run writes its files into a fresh directory and every file is reduced
 to a short digest that must match the pinned one:
@@ -103,6 +103,18 @@ def run_hw_maxcut(tmp_path):
             "--seed", "3"]
 
 
+def run_exact_maxcut_sa(tmp_path):
+    return run_exact_maxcut(tmp_path) + ["--solver", "sa"]
+
+
+def run_hw_maxcut_sa(tmp_path):
+    return run_hw_maxcut(tmp_path) + ["--solver", "sa"]
+
+
+def run_hw_maxcut_pooled(tmp_path):
+    return run_hw_maxcut(tmp_path) + ["--jobs", "2", "--trials", "3"]
+
+
 def run_ternary_coloring(tmp_path):
     src = tmp_path / "toy.col"
     src.write_text(coloring_text())
@@ -126,6 +138,22 @@ GOLDEN = {
         "report.json": "0d569f3c8b825681",
         "trace_000.csv": ("4b9deb10feaaebb5", 148.13971616101074),
         "trace_001.csv": ("3d26bea5a67b0469", 170.7598369957514),
+    }),
+    "exact-maxcut-sa": (run_exact_maxcut_sa, {
+        "report.json": "fa07e203c01a54c9",
+        "trace_000.csv": ("5ec19d80ffbebb46", 52.73253624425765),
+        "trace_001.csv": ("c4d86c96a4e2892b", 53.833180969443944),
+    }),
+    "hw-maxcut-sa": (run_hw_maxcut_sa, {
+        "report.json": "a440442de5ff7343",
+        "trace_000.csv": ("707dfe3b4f37b360", 148.13971616101074),
+        "trace_001.csv": ("edef22c7bc882e9e", 170.7598369957514),
+    }),
+    "hw-maxcut-pooled": (run_hw_maxcut_pooled, {
+        "report.json": "c4faf80b785de556",
+        "trace_000.csv": ("4b9deb10feaaebb5", 148.13971616101074),
+        "trace_001.csv": ("3d26bea5a67b0469", 170.7598369957514),
+        "trace_002.csv": ("84e4fb1e19c16b32", 160.13951781726723),
     }),
     "ternary-coloring": (run_ternary_coloring, {
         "report.json": "994f2cbff715610e",
