@@ -5,7 +5,9 @@ record a full per-iteration trace.  MESA restarts in epochs: when the energy
 trajectory stalls (``count_max`` consecutive iterations without an accepted
 move), the temperature resets and the next epoch starts from the best
 solution seen so far, so the search keeps converging instead of wandering at
-low temperature.
+low temperature.  The SA baseline is the same loop with the trap machinery
+off: no tolerance, equal-energy moves adopted, no epoch end and no widened
+move.
 
 The solvers see the oracle through an evaluator (``reset`` / ``peek`` /
 ``commit``, see :class:`qubocim.qubo.FullEvaluator`): an oracle with an
@@ -223,21 +225,20 @@ def _metropolis_accept(delta: float, temperature: float, rng: np.random.Generato
     return rng.random() < math.exp(arg)
 
 
-def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, float, AnnealTrace]:
-    """Multi-epoch simulated annealing; returns (best vector, best energy, trace).
+def _anneal(oracle: Oracle, n: int, cfg: AnnealConfig,
+            multi_epoch: bool) -> tuple[np.ndarray, float, AnnealTrace]:
+    """The annealing loop of both solvers; returns (best vector, best energy, trace).
 
-    Per iteration the candidate energy is compared against the current one:
-    clearly lower moves are accepted, moves within ``eps_trap`` are rejected,
-    and clearly higher moves are accepted with probability ``exp(-dE/T)``.
-    Every rejected iteration leaves the energy trajectory stagnant and
-    advances the trap count; any acceptance clears it.  Once ``count_max``
-    consecutive stagnant iterations accumulate, the epoch ends: the
-    temperature resets and the search restarts from the best solution found
-    so far.
+    With ``multi_epoch`` this is MESA (see :func:`mesa_solve`).  Without it
+    the trap machinery is off, which is conventional SA: the tolerance is 0
+    and equal-energy moves are adopted, no iteration counts as trapped, the
+    epoch never ends and the move never widens.
     """
     rng, evaluator, t0, x_cur, e_o = _start(oracle, n, cfg)
     alpha = cfg.resolved_alpha(n)
-    count_max = cfg.resolved_count_max(n)
+    eps = cfg.eps_trap if multi_epoch else 0.0
+    count_max = cfg.resolved_count_max(n) if multi_epoch else math.inf
+    widen = cfg.adaptive_flips and multi_epoch
     x_best = x_cur.copy()
     e_best = e_o
 
@@ -255,11 +256,10 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
         iters += 1
         e_new = evaluator.peek(candidate)
         e_ref = e_o  # energy the candidate is judged against; recorded as E_o
-        accepted = False
-        if e_new < e_o - cfg.eps_trap:
+        if e_new < e_o - eps:
             accepted = True
-        elif abs(e_new - e_o) <= cfg.eps_trap:
-            pass  # indistinguishable energy: never adopted
+        elif abs(e_new - e_o) <= eps:
+            accepted = not multi_epoch  # indistinguishable energy: only SA adopts it
         else:
             accepted = _metropolis_accept(e_new - e_o, temperature, rng)
         if accepted:
@@ -272,10 +272,10 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
                 e_best = e_new
         else:
             trap_count += 1  # trajectory stagnant this iteration
-        recorder.add(iters, epoch, e_new, e_ref, e_best, accepted, not accepted,
-                     temperature, last_flips)
+        recorder.add(iters, epoch, e_new, e_ref, e_best, accepted,
+                     multi_epoch and not accepted, temperature, last_flips)
 
-        if cfg.adaptive_flips:
+        if widen:
             if accepted:
                 flips = cfg.flip_base
             elif trap_count >= FLIP_RAMP_AFTER:
@@ -301,33 +301,29 @@ def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, f
     return x_best, e_best, trace
 
 
+def mesa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, float, AnnealTrace]:
+    """Multi-epoch simulated annealing; returns (best vector, best energy, trace).
+
+    Per iteration the candidate energy is compared against the current one:
+    clearly lower moves are accepted, moves within ``eps_trap`` are rejected,
+    and clearly higher moves are accepted with probability ``exp(-dE/T)``.
+    Every rejected iteration leaves the energy trajectory stagnant and
+    advances the trap count; any acceptance clears it.  Once ``count_max``
+    consecutive stagnant iterations accumulate, the epoch ends: the
+    temperature resets and the search restarts from the best solution found
+    so far.
+    """
+    return _anneal(oracle, n, cfg, multi_epoch=True)
+
+
 def sa_solve(oracle: Oracle, n: int, cfg: AnnealConfig) -> tuple[np.ndarray, float, AnnealTrace]:
-    """Single-epoch Metropolis baseline: accept non-worse moves, uphill with
-    probability ``exp(-dE/T)``, geometric cooling, no trap machinery."""
-    rng, evaluator, temperature, x_cur, e_o = _start(oracle, n, cfg)
-    alpha = cfg.resolved_alpha(n)
-    x_best = x_cur.copy()
-    e_best = e_o
+    """Single-epoch Metropolis baseline: MESA's loop with the trap machinery off.
 
-    recorder = _Recorder()
-    for iters in range(1, cfg.max_iters + 1):
-        candidate = flip_indices(n, cfg.flip_base, rng)
-        e_new = evaluator.peek(candidate)
-        e_ref = e_o
-        accepted = e_new <= e_o or _metropolis_accept(e_new - e_o, temperature, rng)
-        if accepted:
-            evaluator.commit()
-            toggle(x_cur, candidate)
-            e_o = e_new
-            if e_new < e_best:
-                x_best = x_cur.copy()
-                e_best = e_new
-        recorder.add(iters, 0, e_new, e_ref, e_best, accepted, False,
-                     temperature, cfg.flip_base)
-        temperature *= alpha
-
-    trace = recorder.finish(x_best, e_best, 1)
-    return x_best, e_best, trace
+    Non-worse moves are accepted, uphill ones with probability
+    ``exp(-dE/T)``, under geometric cooling; ``eps_trap``, ``count_max``,
+    ``max_epochs`` and ``adaptive_flips`` are ignored.
+    """
+    return _anneal(oracle, n, cfg, multi_epoch=False)
 
 
 SOLVERS = ("mesa", "sa")

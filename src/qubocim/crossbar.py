@@ -456,11 +456,23 @@ class HwOracle:
         """
         return self.adc.read(act_rows @ band.currents, band.full_scale, self.stack.i_on_mean)[1]
 
-    def _plane_counts(self, band: _Band, act_rows) -> np.ndarray:
-        """(planes, columns) counts of one band, every column active; dead entries read 0."""
-        counts = np.zeros(len(self._weights) * self.stack.n_cols)
-        counts[band.entries] = self._live_counts(band, act_rows)
-        return counts.reshape(len(self._weights), self.stack.n_cols)
+    def _read(self, bits) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+        """Read every band for state ``bits``, every column active.
+
+        Returns the live counts of each band, their (planes, columns) sums
+        over the bands (one scatter-add per band; dead entries read 0), the
+        active columns and the per-plane totals over those columns.
+        """
+        act_rows = bits[self._phys_rows].astype(np.float64)
+        col_counts = np.zeros((len(self._weights), self.stack.n_cols))
+        flat = col_counts.reshape(-1)
+        counts = []
+        for band in self._bands:
+            live = self._live_counts(band, act_rows[band.r0:band.r1])
+            flat[band.entries] += live  # a band lists each entry once
+            counts.append(live)
+        active = np.flatnonzero(bits[self._cols] == 1)
+        return counts, col_counts, active, col_counts.take(active, axis=1).sum(axis=1)
 
     def _energy(self, bits, total) -> float:
         bilinear = self.stack.scale * float(self._weights @ total)
@@ -468,58 +480,38 @@ class HwOracle:
 
     def __call__(self, x) -> float:
         bits = self._bits(x)
-        act_rows = bits[self._phys_rows].astype(np.float64)
-        active = np.flatnonzero(bits[self._cols] == 1)
-        total = np.zeros(len(self._weights))
-        for band in self._bands:
-            counts = self._plane_counts(band, act_rows[band.r0:band.r1])
-            total += counts.take(active, axis=1).sum(axis=1)
-        return self._energy(bits, total)
+        return self._energy(bits, self._read(bits)[3])
 
     def evaluator(self):
         """Per-run evaluator for the solver (see :class:`qubocim.qubo.FullEvaluator`).
 
-        Delta evaluation needs integer counts, so an ideal ADC
-        (``bits=None``) evaluates in full; so does a single-band array, where
-        every row flip re-reads the whole array anyway.
+        A quantizing ADC gets a :class:`HwEvaluator` at any band count.  Delta
+        evaluation needs integer counts, so an ideal ADC (``bits=None``),
+        whose counts are floats, evaluates in full.
         """
-        if self.adc.bits is None or len(self._bands) == 1:
-            return FullEvaluator(self)
-        return HwEvaluator(self)
+        return FullEvaluator(self) if self.adc.bits is None else HwEvaluator(self)
 
 
 class HwEvaluator:
-    """Delta evaluation of a multi-band :class:`HwOracle` with a quantizing ADC.
+    """Delta evaluation of a :class:`HwOracle` with a quantizing ADC.
 
     The integer counts of every band's live entries are cached, all columns
-    included, together with their per-(plane, column) sums over the bands.
-    A peek re-reads only the bands that hold a flipped row variable, with
-    the kernel of ``__call__``, and adds or removes the cached column sums of
-    flipped column variables; the linear term is recomputed in full.  Counts
-    are integers, so every sum is exact whatever its order and each energy
-    equals ``oracle(y)`` bit for bit.
+    included, together with their per-(plane, column) sums over the bands,
+    as :meth:`HwOracle._read` returns them.  A peek re-reads only the bands
+    that hold a flipped row variable, with the kernel of ``__call__``, and
+    adds or removes the cached column sums of flipped column variables; the
+    linear term is recomputed in full.  Counts are integers, so every sum is
+    exact whatever its order and each energy equals ``oracle(y)`` bit for
+    bit.
     """
 
     def __init__(self, oracle: HwOracle):
         self._oracle = oracle
 
-    def _add(self, col_counts: np.ndarray, b: int, counts: np.ndarray):
-        """Add live counts of band ``b`` to (planes, columns) sums, in place.
-
-        A band lists each entry once, so a plain fancy-index ``+=`` is exact.
-        """
-        col_counts.reshape(-1)[self._oracle._bands[b].entries] += counts
-
     def reset(self, x, energy: float | None = None) -> float:
         o = self._oracle
         self._x = o._bits(x).copy()
-        act_rows = self._x[o._phys_rows].astype(np.float64)
-        self._counts = [o._live_counts(band, act_rows[band.r0:band.r1]) for band in o._bands]
-        self._col_counts = np.zeros((len(o._weights), o.stack.n_cols))
-        for b, counts in enumerate(self._counts):
-            self._add(self._col_counts, b, counts)
-        self._active = np.flatnonzero(self._x[o._cols] == 1)
-        self._total = self._col_counts.take(self._active, axis=1).sum(axis=1)
+        self._counts, self._col_counts, self._active, self._total = o._read(self._x)
         self._energy = o._energy(self._x, self._total) if energy is None else energy
         return self._energy
 
@@ -536,7 +528,7 @@ class HwEvaluator:
         if reread:
             change = np.zeros_like(col_counts)
             for b, counts in reread:
-                self._add(change, b, counts - self._counts[b])
+                change.reshape(-1)[o._bands[b].entries] += counts - self._counts[b]
             col_counts = col_counts + change
             total = total + change.take(self._active, axis=1).sum(axis=1)
         for i in flips:

@@ -84,14 +84,15 @@ class TestHwEvaluator:
         for got, want in walk(oracle, q.n, 4):
             assert got == want
 
-    def test_ideal_adc_and_single_band_evaluate_in_full(self):
+    def test_ideal_adc_evaluates_in_full_and_single_band_by_delta(self):
         q = random_maxcut(40, 150, 6)
         c, _ = compress(q)
         ideal = make_hw_oracle(c, bits=3, dev=NOISY, seed=6, tile_rows=4,
                                adc=AdcParams(bits=None))
         single = make_hw_oracle(c, bits=3, dev=NOISY, seed=6, tile_rows=64)
-        for oracle in (ideal, single):
-            assert isinstance(oracle.evaluator(), FullEvaluator)
+        assert len(single._bands) == 1
+        for oracle, kind in ((ideal, FullEvaluator), (single, HwEvaluator)):
+            assert isinstance(oracle.evaluator(), kind)
             for got, want in walk(oracle, q.n, 6):
                 assert got == want
 
@@ -141,9 +142,11 @@ class TestLiveEntries:
                 len(oracle._bands) * all_entries(oracle).size  # some entries are dropped
             for x in random_states(oracle, 11):
                 diag = reference_readout(oracle, x)
-                act_rows = x[oracle._phys_rows].astype(np.float64)
+                band_counts = oracle._read(x)[0]
                 for b, band in enumerate(oracle._bands):
-                    counts = oracle._plane_counts(band, act_rows[band.r0:band.r1])
+                    counts = np.zeros(all_entries(oracle).size)
+                    counts[band.entries] = band_counts[b]
+                    counts = counts.reshape(len(oracle.stack.planes), oracle.stack.n_cols)
                     for p in range(len(oracle.stack.planes)):
                         want = diag["counts"][p][b]
                         assert np.array_equal(counts[p, diag["active_cols"]], want)
