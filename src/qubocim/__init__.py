@@ -8,8 +8,7 @@ compute-in-memory crossbar simulator with quantization and device noise.
 """
 
 from .anneal import (AnnealConfig, AnnealTrace, TrialRecord, derive_seed,
-                     flip_bits, iter_trials, mesa_solve, run_trials, sa_solve,
-                     success_rate)
+                     iter_trials, mesa_solve, run_trials, sa_solve, success_rate)
 from .compress import (CompressedQubo, CompressionStats, compress,
                        compressed_energy, decompress, split_signs)
 from .convert import (ColoringEncoding, ColoringReport, FactorizationEncoding,

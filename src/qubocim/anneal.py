@@ -74,12 +74,12 @@ class AnnealConfig:
     seed: int = 0
 
     def validate(self, n: int | None = None):
-        if self.t0 is not None and not self.t0 > 0:
-            raise ConfigError("t0 must be positive")
+        if self.t0 is not None and not 0 < self.t0 < math.inf:
+            raise ConfigError("t0 must be positive and finite")
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if self.eps_trap < 0:
-            raise ConfigError("eps_trap must be >= 0")
+        if not 0 <= self.eps_trap < math.inf:
+            raise ConfigError("eps_trap must be finite and >= 0")
         if self.count_max is not None and self.count_max < 1:
             raise ConfigError("count_max must be >= 1")
         if self.max_epochs < 1 or self.max_iters < 1:
@@ -174,13 +174,6 @@ def flip_indices(n: int, k: int, rng: np.random.Generator) -> list[int]:
     if k == 1:
         return [int(rng.integers(n))]
     return rng.choice(n, size=k, replace=False).tolist()
-
-
-def flip_bits(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Copy of ``x`` with ``k`` distinct uniformly chosen bits toggled."""
-    y = x.copy()
-    toggle(y, flip_indices(len(x), k, rng))
-    return y
 
 
 def derive_seed(base_seed: int, index: int) -> int:

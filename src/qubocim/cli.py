@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -243,9 +244,13 @@ def cmd_compress(ns_input: str, out_dir: str) -> int:
 def _resolve_optimum(rc: RunConfig, instance: Instance) -> float | None:
     policy = rc.optimum
     try:
-        return float(policy)
+        target = float(policy)
     except (TypeError, ValueError):
         pass
+    else:
+        if not math.isfinite(target):
+            raise ConfigError(f"optimum must be finite, got {policy!r}")
+        return target
     if policy == "none":
         return None
     if policy == "brute":
@@ -268,9 +273,9 @@ def run_solve(rc: RunConfig, out_dir: Path) -> dict:
     oracle, stats, oracle_desc, eps_default = _build_oracle(rc, instance, exact)
     cfg = _anneal_config(rc, eps_default)
     cfg.validate(instance.n_vars)
+    optimum = _resolve_optimum(rc, instance)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    optimum = _resolve_optimum(rc, instance)
     score = qubo.exact_oracle(exact)
 
     trials = []
@@ -347,14 +352,15 @@ def cmd_sweep(rc: RunConfig, axis: str, values: list[str]) -> int:
 
 def cmd_stats(ns_input: str, out_file: str | None) -> int:
     problem = qubo.from_text(qubo.read_file(ns_input))
+    terms = len(problem.term_arrays()[2])
+    linear = int(np.count_nonzero(problem.linear))
     payload = {
         "n": problem.n,
-        "offdiag_nonzeros": len(problem.offdiag),
-        "linear_nonzeros": int(np.count_nonzero(problem.linear)),
+        "offdiag_nonzeros": terms,
+        "linear_nonzeros": linear,
         "sparsity_upper_triangle": qubo.sparsity(problem),
-        "sparsity_full_no_diag": 1.0 - len(problem.offdiag) / (problem.n ** 2),
-        "sparsity_full_with_diag": 1.0 - (len(problem.offdiag)
-                                          + int(np.count_nonzero(problem.linear))) / (problem.n ** 2),
+        "sparsity_full_no_diag": 1.0 - terms / (problem.n ** 2),
+        "sparsity_full_with_diag": 1.0 - (terms + linear) / (problem.n ** 2),
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_file:

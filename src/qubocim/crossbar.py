@@ -42,6 +42,9 @@ class DeviceParams:
     die_offset_sigma: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.i_on_mean, self.i_on_rel_sigma, self.i_off_ratio,
+                                       self.die_offset_sigma))):
+            raise ConfigError("device parameters must be finite")
         if self.i_on_mean <= 0:
             raise ConfigError("i_on_mean must be positive")
         if self.i_on_rel_sigma < 0 or self.die_offset_sigma < 0:
@@ -65,8 +68,8 @@ class AdcParams:
     def __post_init__(self):
         if self.bits is not None and self.bits < 1:
             raise ConfigError("adc bits must be >= 1")
-        if self.full_scale is not None and self.full_scale <= 0:
-            raise ConfigError("full_scale must be positive")
+        if self.full_scale is not None and not 0 < self.full_scale < math.inf:
+            raise ConfigError("full_scale must be positive and finite")
 
     def full_scale_for(self, rows: int, i_on_mean: float) -> float:
         """Full-scale current of a tile band with ``rows`` physical rows."""

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from qubocim.anneal import (AnnealConfig, AnnealTrace, derive_seed, flip_bits, mesa_solve,
+from qubocim.anneal import (AnnealConfig, AnnealTrace, derive_seed, flip_indices, mesa_solve,
                             run_trials, sa_solve, success_rate)
 from qubocim.convert import coloring_to_qubo, demo_coloring_instance
 from qubocim.errors import ConfigError
-from qubocim.qubo import QuboProblem, brute_force_minimize, exact_oracle
+from qubocim.qubo import QuboProblem, brute_force_minimize, exact_oracle, toggle
 
 # unique exhaustive minimum (multiplicity 1): E = -3.5 at x = (0, 1, 0, 1)
 UNIQUE_MIN = QuboProblem(4, {(0, 1): 3.0, (1, 2): -2.0, (2, 3): 4.0, (0, 3): -1.0},
@@ -148,7 +148,8 @@ class TestPerturbation:
         rng = np.random.default_rng(0)
         x = rng.integers(0, 2, size=12, dtype=np.int8)
         for _ in range(50):
-            y = flip_bits(x, k, rng)
+            y = x.copy()
+            toggle(y, flip_indices(len(x), k, rng))
             assert int((x != y).sum()) == k
 
 

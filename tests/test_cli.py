@@ -305,6 +305,30 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--oracle", "hw", "--sigma", "nan"], None),
+        (["--oracle", "hw", "--sigma", "inf"], None),
+        (["--t0", "inf"], None),
+        ([], "eps_trap = nan\n"),
+        (["--oracle", "hw"], "die_sigma = nan\n"),
+        (["--optimum", "nan"], None),
+        (["--optimum", "inf"], None),
+        (["--optimum=-inf"], None),
+    ], ids=["sigma-nan", "sigma-inf", "t0-inf", "eps-trap-nan", "die-sigma-nan",
+            "optimum-nan", "optimum-inf", "optimum-minus-inf"])
+    def test_non_finite_setting_is_3(self, tmp_path, capsys, flags, config):
+        src = tmp_path / "k3.col"
+        src.write_text(K3_DIMACS)
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = flags + ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "out"
+        assert main(["solve", str(src), "--kind", "maxcut", "--max-iters", "20",
+                     "--out", str(out)] + flags) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, text, kind, line", [
         ("commented.txt", "# comment\n% another\n3 1\n1 9 1\n", "maxcut", 4),
         ("negative.cqubo", "cqubo 3 1 1\nl -1 5.0\nrows 0\ncols 1\nm 1.0\n", "cqubo", 2),

@@ -19,6 +19,10 @@
 * The Ising change of variables and its inverse keep every energy.
 * The coloring and factoring QUBOs have minimum energy 0 exactly when the
   instance is feasible (checked by brute force over at most 20 variables).
+* An oracle's own evaluator agrees with the oracle: along a random walk of
+  resets, peeks and commits, every energy it returns equals ``oracle(y)``
+  exactly, on the exact oracle and on single-band, noisy multi-band,
+  ternary and ideal-ADC crossbars.
 """
 
 import numpy as np
@@ -312,3 +316,76 @@ def test_factoring_minimum_is_zero_exactly_when_feasible(data):
     minimum = qubo.brute_force_minimize(problem)[1]
     assert minimum >= 0.0
     assert (minimum == 0.0) == feasible
+
+
+NOISY = DeviceParams(i_on_rel_sigma=0.1, die_offset_sigma=0.05)
+ORACLES = {
+    "exact": lambda c, q: qubo.exact_oracle(q),
+    "hw-single-band": lambda c, q: make_hw_oracle(c, bits=3, seed=1, tile_rows=64),
+    "hw-multi-band-noisy": lambda c, q: make_hw_oracle(c, bits=3, dev=NOISY, seed=2,
+                                                       tile_rows=3),
+    "hw-ternary": lambda c, q: make_hw_oracle(c, ternary=True, dev=NOISY, seed=3, tile_rows=3),
+    "hw-ideal-adc": lambda c, q: make_hw_oracle(c, bits=3, dev=NOISY, seed=4, tile_rows=3,
+                                                adc=AdcParams(bits=None)),
+}
+
+
+@st.composite
+def evaluator_walks(draw, kind: str):
+    """A problem over at most 40 variables and a walk of evaluator steps on it.
+
+    The ternary oracle gets a coloring QUBO, whose compressed matrix lies
+    in {0, 1, 2}; the others a QUBO with small integer coefficients.  A step
+    is ``("reset", x, known)``, resetting to ``x`` with or without its
+    energy given, or ``("peek", flips, commit)``.
+    """
+    if kind == "hw-ternary":
+        vertices = draw(st.integers(2, 12))
+        pair = st.tuples(st.integers(0, vertices - 1), st.integers(0, vertices - 1))
+        edges = [(u, v) for u, v in draw(st.lists(pair, min_size=1, max_size=20)) if u != v]
+        problem, _ = coloring_to_qubo(Graph.from_edges(vertices, edges),
+                                      draw(st.integers(2, 3)), draw(st.sampled_from([0.5, 1.0])))
+    else:
+        n = draw(st.integers(2, 40))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        coefficient = st.integers(-9, 9).map(float)
+        terms = draw(st.lists(st.tuples(pair, coefficient), min_size=1, max_size=80))
+        linear = draw(st.lists(coefficient, min_size=n, max_size=n))
+        problem = qubo.QuboProblem(n, terms, linear, draw(coefficient))
+    n = problem.n
+    state = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+        lambda bits: np.array(bits, dtype=np.int8))
+    steps = [("reset", draw(state), False)]
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.integers(0, 9)) == 0:
+            steps.append(("reset", draw(state), draw(st.booleans())))
+        else:
+            flips = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+            steps.append(("peek", flips, draw(st.booleans())))
+    return problem, steps
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLES))
+def test_evaluator_walks_equal_the_oracle(kind):
+    @bounded(60)
+    @given(case=evaluator_walks(kind))
+    def check(case):
+        problem, steps = case
+        compressed, _ = compress(problem)
+        oracle = ORACLES[kind](compressed, problem)
+        evaluator = oracle.evaluator()
+        x = None
+        for step, arg, flag in steps:
+            if step == "reset":
+                x = arg.copy()
+                energy = evaluator.reset(x, oracle(x) if flag else None)
+                assert energy == oracle(x)
+                continue
+            y = x.copy()
+            y[arg] ^= 1
+            assert evaluator.peek(arg) == oracle(y)
+            if flag:
+                evaluator.commit()
+                x = y
+
+    check()
