@@ -464,7 +464,9 @@ class HwOracle:
 
         Returns the live counts of each band, their (planes, columns) sums
         over the bands (one scatter-add per band; dead entries read 0), the
-        active columns and the per-plane totals over those columns.
+        active columns and the per-plane totals over those columns.  Counts
+        are summed per column over the bands first, which is exact for a
+        quantizing ADC and fixes the rounding order of an ideal one.
         """
         act_rows = bits[self._phys_rows].astype(np.float64)
         col_counts = np.zeros((len(self._weights), self.stack.n_cols))
