@@ -26,7 +26,8 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(t0=0.0), dict(alpha=1.0), dict(alpha=0.0), dict(eps_trap=-1.0),
         dict(count_max=0), dict(max_epochs=0), dict(max_iters=0),
-        dict(flip_base=0), dict(seed=-1),
+        dict(flip_base=0), dict(seed=-1), dict(t0=math.inf), dict(eps_trap=math.nan),
+        dict(eps_trap=math.inf),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ConfigError):

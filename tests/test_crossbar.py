@@ -74,6 +74,19 @@ class TestQuantize:
 
 
 class TestProgram:
+    @pytest.mark.parametrize("make", [
+        lambda: DeviceParams(i_on_rel_sigma=float("nan")),
+        lambda: DeviceParams(i_on_rel_sigma=float("inf")),
+        lambda: DeviceParams(die_offset_sigma=float("nan")),
+        lambda: DeviceParams(i_on_mean=float("inf")),
+        lambda: AdcParams(full_scale=float("inf")),
+        lambda: AdcParams(full_scale=float("nan")),
+    ], ids=["sigma-nan", "sigma-inf", "die-sigma-nan", "on-mean-inf", "full-scale-inf",
+            "full-scale-nan"])
+    def test_non_finite_params_rejected(self, make):
+        with pytest.raises(ConfigError, match="finite"):
+            make()
+
     def test_bit_planes_follow_binary_expansion(self):
         qq = quantize(rect([[5.0, 7.0]]), 3)  # scale 1, so codes are (5, 7)
         assert np.array_equal(qq.plus, [[5, 7]])
