@@ -189,6 +189,12 @@ def _start(oracle: Oracle, n: int, cfg: AnnealConfig):
     ``cfg``, spawn the calibration and search generators from the seed, pick
     the oracle's own evaluator if it has one, calibrate t0 unless it is
     given, then draw the start state and reset the evaluator to it.
+
+    Calibration draws all ``CALIBRATION_SAMPLES`` (state, flip) pairs from
+    the calibration generator before it evaluates any: for each pair in
+    turn a random state, then one flip index.  The evaluator's
+    ``flip_deltas`` then returns every single-flip energy change in one
+    call; t0 is their standard deviation (1.0 if it is 0).
     """
     cfg.validate(n)
     cal, main = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -199,11 +205,12 @@ def _start(oracle: Oracle, n: int, cfg: AnnealConfig):
     if cfg.t0 is not None:
         t0 = float(cfg.t0)
     else:
-        deltas = np.empty(CALIBRATION_SAMPLES)
-        for i in range(CALIBRATION_SAMPLES):
-            e = evaluator.reset(cal_rng.integers(0, 2, size=n, dtype=np.int8))
-            deltas[i] = evaluator.peek(flip_indices(n, 1, cal_rng)) - e
-        spread = float(np.std(deltas))
+        states = np.empty((CALIBRATION_SAMPLES, n), dtype=np.int8)
+        flips = []
+        for state in states:
+            state[:] = cal_rng.integers(0, 2, size=n, dtype=np.int8)
+            flips += flip_indices(n, 1, cal_rng)
+        spread = float(np.std(evaluator.flip_deltas(states, flips)))
         t0 = spread if spread > 0 else 1.0
     x = rng.integers(0, 2, size=n, dtype=np.int8)
     return rng, evaluator, t0, x, evaluator.reset(x)

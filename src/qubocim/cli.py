@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 malformed or unreadable input (any I/O error),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -417,7 +418,13 @@ def _merged_config(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process.
+
+    Each ``parse_args`` call fills a fresh namespace, so reusing the parser
+    carries nothing from one call to the next.
+    """
     parser = argparse.ArgumentParser(prog="qubocim",
                                      description="QUBO conversion, compression, and annealing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -443,8 +450,11 @@ def main(argv=None) -> int:
     p_stats = sub.add_parser("stats", help="sparsity statistics of a QUBO file")
     p_stats.add_argument("input")
     p_stats.add_argument("--out")
+    return parser
 
-    ns = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    ns = _parser().parse_args(argv)
     try:
         if ns.command == "convert":
             return cmd_convert(_merged_config(ns))

@@ -83,13 +83,20 @@ class AdcParams:
         ``2**bits - 1`` uniform steps, and the code is scaled back to the
         nearest integer cell count.  Without quantization (``bits=None``)
         codes and counts are both the current in units of ``i_on_mean``.
+        ``currents`` may have any shape; it is not modified.
         """
         if self.bits is None:
             counts = currents / i_on_mean
             return counts, counts
         levels = (1 << self.bits) - 1
-        codes = np.clip(np.rint(currents / full_scale * levels), 0, levels)
-        return codes, np.rint(codes * full_scale / (levels * i_on_mean))
+        codes = currents / full_scale
+        codes *= levels
+        np.rint(codes, out=codes)
+        np.maximum(codes, 0, out=codes)  # unlike np.clip, turns -0.0 into 0.0
+        np.minimum(codes, levels, out=codes)
+        counts = codes * full_scale
+        counts /= levels * i_on_mean
+        return codes, np.rint(counts, out=counts)
 
 
 def _dense(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values,
@@ -365,6 +372,10 @@ def vmv(stack: CrossbarStack, x_h, x_v, adc: AdcParams = AdcParams()) -> tuple[f
     return stack.scale * total, diagnostics
 
 
+# States per band product in HwEvaluator.flip_deltas; bounds its transient memory.
+BATCH_STATES = 16
+
+
 class _Band(NamedTuple):
     """Compacted image of one tile band: its live (plane, column) entries only."""
 
@@ -455,18 +466,19 @@ class HwOracle:
     def _live_counts(self, band: _Band, act_rows) -> np.ndarray:
         """ADC counts of the live entries of one band, every column active.
 
-        ``act_rows`` holds the row activations (0.0 or 1.0) of that band.
+        ``act_rows`` holds the row activations (0.0 or 1.0) of that band,
+        one state as a vector or one state per row of a matrix.
         """
         return self.adc.read(act_rows @ band.currents, band.full_scale, self.stack.i_on_mean)[1]
 
-    def _read(self, bits) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    def _read(self, bits) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """Read every band for state ``bits``, every column active.
 
         Returns the live counts of each band, their (planes, columns) sums
-        over the bands (one scatter-add per band; dead entries read 0), the
-        active columns and the per-plane totals over those columns.  Counts
-        are summed per column over the bands first, which is exact for a
-        quantizing ADC and fixes the rounding order of an ideal one.
+        over the bands (one scatter-add per band; dead entries read 0) and
+        the per-plane totals over the active columns.  Counts are summed per
+        column over the bands first, which is exact for a quantizing ADC and
+        fixes the rounding order of an ideal one.
         """
         act_rows = bits[self._phys_rows].astype(np.float64)
         col_counts = np.zeros((len(self._weights), self.stack.n_cols))
@@ -477,7 +489,7 @@ class HwOracle:
             flat[band.entries] += live  # a band lists each entry once
             counts.append(live)
         active = np.flatnonzero(bits[self._cols] == 1)
-        return counts, col_counts, active, col_counts.take(active, axis=1).sum(axis=1)
+        return counts, col_counts, col_counts.take(active, axis=1).sum(axis=1)
 
     def _energy(self, bits, total) -> float:
         bilinear = self.stack.scale * float(self._weights @ total)
@@ -485,7 +497,7 @@ class HwOracle:
 
     def __call__(self, x) -> float:
         bits = self._bits(x)
-        return self._energy(bits, self._read(bits)[3])
+        return self._energy(bits, self._read(bits)[2])
 
     def evaluator(self):
         """Per-run evaluator for the solver (see :class:`qubocim.qubo.FullEvaluator`).
@@ -503,11 +515,13 @@ class HwEvaluator:
     The integer counts of every band's live entries are cached, all columns
     included, together with their per-(plane, column) sums over the bands,
     as :meth:`HwOracle._read` returns them.  A peek re-reads only the bands
-    that hold a flipped row variable, with the kernel of ``__call__``, and
-    adds or removes the cached column sums of flipped column variables; the
-    linear term is recomputed in full.  Counts are integers, so every sum is
-    exact whatever its order and each energy equals ``oracle(y)`` bit for
-    bit.
+    that hold a flipped row variable, with the kernel of ``__call__``, keeps
+    the live entries whose counts changed, adds those of active columns to
+    the per-plane totals and adds or removes the updated column sums of
+    flipped column variables; the linear term is recomputed in full.  A
+    commit applies the changed entries to the column sums in place.  Counts
+    are integers, so every sum is exact whatever its order and each energy
+    equals ``oracle(y)`` bit for bit.
     """
 
     def __init__(self, oracle: HwOracle):
@@ -516,7 +530,8 @@ class HwEvaluator:
     def reset(self, x, energy: float | None = None) -> float:
         o = self._oracle
         self._x = o._bits(x).copy()
-        self._counts, self._col_counts, self._active, self._total = o._read(self._x)
+        self._counts, self._col_counts, self._total = o._read(self._x)
+        self._active = self._x[o._cols] == 1
         self._energy = o._energy(self._x, self._total) if energy is None else energy
         return self._energy
 
@@ -524,32 +539,102 @@ class HwEvaluator:
         o = self._oracle
         y = self._x.copy()
         toggle(y, flips)
-        reread = []
+        total = self._total
+        changes = []
         for b in sorted({band for i in flips for band in o._var_bands[i]}):
             band = o._bands[b]
-            act_rows = y[o._phys_rows[band.r0:band.r1]].astype(np.float64)
-            reread.append((b, o._live_counts(band, act_rows)))
-        col_counts, total = self._col_counts, self._total
-        if reread:
-            change = np.zeros_like(col_counts)
-            for b, counts in reread:
-                change.reshape(-1)[o._bands[b].entries] += counts - self._counts[b]
-            col_counts = col_counts + change
-            total = total + change.take(self._active, axis=1).sum(axis=1)
+            counts = o._live_counts(band, y[o._phys_rows[band.r0:band.r1]].astype(np.float64))
+            diff = counts - self._counts[b]
+            changed = np.flatnonzero(diff)
+            entries, diff = band.entries[changed], diff[changed]
+            planes, cols = np.divmod(entries, o.stack.n_cols)
+            total = total + np.bincount(planes, diff * self._active[cols], len(o._weights))
+            changes.append((b, counts, entries, diff, planes, cols))
         for i in flips:
             c = o._col_of[i]
             if c >= 0:
-                total = total + col_counts[:, c] if y[i] else total - col_counts[:, c]
+                column = self._col_counts[:, c].copy()
+                for *_, diff, planes, cols in changes:
+                    at = cols == c
+                    column[planes[at]] += diff[at]  # a band lists each entry once
+                total = total + column if y[i] else total - column
         energy = o._energy(y, total)
-        self._pending = (y, reread, col_counts, total, energy)
+        self._pending = (y, changes, total, energy)
         return energy
 
     def commit(self):
-        y, reread, self._col_counts, self._total, self._energy = self._pending
-        for b, counts in reread:
+        y, changes, self._total, self._energy = self._pending
+        del self._pending  # the column sums below change in place: commit once per peek
+        flat = self._col_counts.reshape(-1)
+        for b, counts, entries, diff, *_ in changes:
             self._counts[b] = counts
+            flat[entries] += diff
         self._x = y
-        self._active = np.flatnonzero(y[self._oracle._cols] == 1)
+        self._active = y[self._oracle._cols] == 1
+
+    def flip_deltas(self, states, flips) -> np.ndarray:
+        """``E(x with bit i toggled) - E(x)`` for each row ``x`` of ``states`` and ``i`` of ``flips``.
+
+        Every band is read for ``BATCH_STATES`` states at a time, one
+        ``(states, rows) @ (rows, live)`` product through the kernel of
+        ``__call__``, and each state's per-plane totals sum its counts over
+        its active columns.  A flipped state reuses its base state's counts
+        except in the bands its flipped variable drives as a row variable,
+        which are read again for those states only; as in :meth:`peek`, its
+        totals are the base's plus the changed counts of those bands over
+        the base's active columns, plus or minus the updated counts of its
+        flipped column.  Counts are integers, so every sum is exact in any
+        order, and every energy goes through :meth:`HwOracle._energy`: each
+        delta equals ``peek([i]) - reset(x)`` bit for bit.  The evaluator's
+        own state is left as it was.
+        """
+        o = self._oracle
+        base = np.asarray(states, dtype=np.int8)
+        flips = np.asarray(flips, dtype=np.intp)
+        if base.shape != (len(flips), o.n):
+            raise DimensionError(f"expected {len(flips)} states of length {o.n}, "
+                                 f"got shape {base.shape}")
+        n_planes, n_cols = len(o._weights), o.stack.n_cols
+        flip_cols = o._col_of[flips]  # -1 where the flipped variable is no column variable
+        drives = np.zeros((len(o._bands), len(flips)), dtype=bool)
+        for s, i in enumerate(flips.tolist()):
+            drives[o._var_bands[i], s] = True
+        totals = np.zeros((len(flips), n_planes))  # of the base states
+        gains = np.zeros_like(totals)   # from re-read bands, over the base's active columns
+        column = np.zeros_like(totals)  # the flipped state's counts in its flipped column
+        for band, again in zip(o._bands, drives):
+            rows = o._phys_rows[band.r0:band.r1]
+            planes, cols = np.divmod(band.entries, n_cols)
+            starts = np.flatnonzero(np.diff(planes, prepend=-1))  # entries sort by plane
+            if not starts.size:
+                continue
+            col_vars, seg_planes = o._cols[cols], planes[starts]
+            # Where each plane holds each state's flipped column, if it does.
+            keys = seg_planes[:, None] * n_cols + flip_cols
+            at = np.minimum(np.searchsorted(band.entries, keys), len(cols) - 1)
+            found = (band.entries[at] == keys) & (flip_cols >= 0)
+            for lo in range(0, len(flips), BATCH_STATES):
+                chunk = slice(lo, lo + BATCH_STATES)
+                counts = o._live_counts(band, base[chunk, rows].astype(np.float64))
+                active = base[chunk, col_vars]
+                totals[chunk, seg_planes] += np.add.reduceat(counts * active, starts, axis=1)
+                reread = np.flatnonzero(again[chunk])
+                if reread.size:
+                    act_rows = base[lo + reread[:, None], rows] ^ (rows == flips[lo + reread, None])
+                    fresh = o._live_counts(band, act_rows.astype(np.float64))
+                    gains[lo + reread[:, None], seg_planes] += np.add.reduceat(
+                        (fresh - counts[reread]) * active[reread], starts, axis=1)
+                    counts[reread] = fresh
+                column[chunk, seg_planes] += np.where(
+                    found[:, chunk], counts[np.arange(len(counts)), at[:, chunk]], 0.0).T
+        deltas = np.empty(len(flips))
+        for s, (x, i) in enumerate(zip(base, flips.tolist())):
+            y = x.copy()
+            y[i] ^= 1
+            # Toggling a column variable adds or removes its column; the others add 0.
+            flipped = totals[s] + gains[s] + column[s] if y[i] else totals[s] + gains[s] - column[s]
+            deltas[s] = o._energy(y, flipped) - o._energy(x, totals[s])
+        return deltas
 
 
 def make_hw_oracle(compressed: CompressedQubo, *, bits: int = 5, ternary: bool = False,

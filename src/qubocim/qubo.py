@@ -475,10 +475,15 @@ class FullEvaluator:
       its own state makes none;
     * ``peek(flips) -> E'`` returns the energy of the current state with the
       distinct indices ``flips`` toggled, without adopting it;
-    * ``commit()`` adopts the state of the last peek.
+    * ``commit()`` adopts the state of the last peek, once;
+    * ``flip_deltas(states, flips) -> deltas`` returns, for each row ``x``
+      of ``states`` and index ``i`` of ``flips``, the energy change of
+      toggling bit ``i`` of ``x``, equal to ``peek([i]) - reset(x)`` bit for
+      bit; it leaves the current state unspecified, so a reset follows it.
 
     This one calls the oracle once per reset and peek, so its energies are
-    the oracle's own; delta evaluators are tested against it.
+    the oracle's own; delta evaluators are tested against it.  Its
+    ``flip_deltas`` is that reset/peek loop, two oracle calls per state.
     """
 
     def __init__(self, oracle):
@@ -497,6 +502,13 @@ class FullEvaluator:
 
     def commit(self):
         self._x, self._energy = self._pending
+
+    def flip_deltas(self, states, flips) -> np.ndarray:
+        deltas = np.empty(len(flips))
+        for k, (x, i) in enumerate(zip(states, flips)):
+            energy = self.reset(x)
+            deltas[k] = self.peek([i]) - energy
+        return deltas
 
 
 class ExactOracle:
@@ -582,6 +594,8 @@ class ExactEvaluator:
         self._commits += 1
         if self._commits >= o.n:
             self.reset(self._x)
+
+    flip_deltas = FullEvaluator.flip_deltas  # the reset/peek loop
 
 
 def exact_oracle(q: QuboProblem) -> ExactOracle:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from qubocim import qubo
+from qubocim import cli
 from qubocim.cli import load_config_file, main
 from qubocim.convert import demo_coloring_instance
 from qubocim.errors import ConfigError
@@ -237,6 +238,22 @@ class TestConfigFile:
                      "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["trials"]) == 2
+
+
+class TestParser:
+    def test_built_once_and_flags_do_not_carry_over(self, tmp_path):
+        src = tmp_path / "k3.col"
+        src.write_text(K3_DIMACS)
+        parser = cli._parser()
+        runs = []
+        for flags in (["--trials", "2", "--seed", "5"], []):
+            out = tmp_path / f"run{len(runs)}"
+            assert main(["solve", str(src), "--kind", "maxcut", "--max-iters", "50",
+                         "--out", str(out)] + flags) == 0
+            runs.append(json.loads((out / "report.json").read_text())["config"])
+        assert cli._parser() is parser
+        assert (runs[0]["trials"], runs[0]["seed"]) == (2, 5)
+        assert (runs[1]["trials"], runs[1]["seed"]) == (cli.RunConfig.trials, cli.RunConfig.seed)
 
 
 class TestExitCodes:

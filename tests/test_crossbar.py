@@ -146,6 +146,31 @@ class TestTernary:
         assert value == 4.0  # 0 + 1 + 2 + 1
 
 
+class TestAdcRead:
+    @pytest.mark.parametrize("bits, full_scale, i_on_mean", [(1, 2.0, 1.0), (3, 7.0, 1.0),
+                                                            (3, 5.5, 0.9), (5, 23.0, 1.0)])
+    def test_equals_the_clip_expression(self, bits, full_scale, i_on_mean):
+        """Counts and codes equal, as values, those of ``np.clip`` on the rounded
+        codes, for currents below 0, above full scale and at exact half steps."""
+        levels = (1 << bits) - 1
+        step = full_scale / levels
+        halves = [(k + 0.5) * step for k in range(-2, levels + 2)]
+        halves = [c for c in halves if c / full_scale * levels % 1 == 0.5]
+        assert halves  # some currents sit exactly on a rounding boundary
+        currents = np.array(halves + [-1.0, -step / 2, -1e-300, 0.0, step, full_scale,
+                                      full_scale + step / 3, 2 * full_scale, 1e6])
+        old_codes = np.clip(np.rint(currents / full_scale * levels), 0, levels)
+        old_counts = np.rint(old_codes * full_scale / (levels * i_on_mean))
+        before = currents.copy()
+        adc = AdcParams(bits=bits)
+        codes, counts = adc.read(currents, full_scale, i_on_mean)
+        assert np.array_equal(codes, old_codes) and np.array_equal(counts, old_counts)
+        assert not np.signbit(counts).any()  # np.clip keeps -0.0, the read does not
+        batch = adc.read(np.stack([currents, currents[::-1]]), full_scale, i_on_mean)[1]
+        assert np.array_equal(batch, np.stack([old_counts, old_counts[::-1]]))
+        assert np.array_equal(currents, before)  # the input is left as it was
+
+
 class TestVmv:
     def test_all_on_square(self):
         qq = quantize(rect(np.full((4, 4), 2.5)), 1)

@@ -10,10 +10,15 @@ import io
 import numpy as np
 import pytest
 
+from qubocim import anneal
 from qubocim.anneal import CALIBRATION_SAMPLES, AnnealConfig, mesa_solve, sa_solve
 from qubocim.compress import compress
-from qubocim.convert import Graph, coloring_to_qubo, demo_coloring_instance, maxcut_to_qubo
-from qubocim.crossbar import AdcParams, DeviceParams, HwEvaluator, make_hw_oracle, vmv
+from qubocim.convert import (FactorizationEncoding, Graph, coloring_to_qubo,
+                             demo_coloring_instance, maxcut_to_qubo, pfp_to_qubo,
+                             suggest_bit_lengths)
+from qubocim.crossbar import (BATCH_STATES, AdcParams, DeviceParams, HwEvaluator,
+                              make_hw_oracle, vmv)
+from qubocim.errors import DimensionError
 from qubocim.qubo import ExactEvaluator, FullEvaluator, QuboProblem, exact_oracle
 
 NOISY = DeviceParams(i_on_rel_sigma=0.1, die_offset_sigma=0.05)
@@ -105,6 +110,101 @@ class TestHwEvaluator:
         assert evaluator.reset(x, oracle(x)) == oracle(x)
         x[[0, 5]] = 0
         assert evaluator.peek([0, 5]) == oracle(x)
+
+
+def reset_peek_deltas(evaluator, states, flips):
+    """The calibration loop that ``flip_deltas`` replaces: a reset and a one-bit peek per state."""
+    deltas = []
+    for x, i in zip(states, flips):
+        energy = evaluator.reset(x)
+        deltas.append(evaluator.peek([i]) - energy)
+    return deltas
+
+
+def calibration_pairs(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=(count, n), dtype=np.int8), rng.integers(0, n, size=count).tolist()
+
+
+def pfp323():
+    problem, _ = pfp_to_qubo(FactorizationEncoding(323, *suggest_bit_lengths(323)))
+    return compress(problem)[0]
+
+
+def batch_cases():
+    """(name, oracle) pairs covering every kind of array the batch reads."""
+    maxcut, _ = compress(random_maxcut(60, 300, 1))
+    graph, k, penalty = demo_coloring_instance()
+    ternary, _ = compress(coloring_to_qubo(graph, k, penalty)[0])
+    small, _ = compress(random_maxcut(40, 150, 4))
+    factoring = pfp323()
+    cases = [
+        ("noisy-multi-band", make_hw_oracle(maxcut, bits=3, dev=NOISY, seed=1, tile_rows=4)),
+        ("ternary", make_hw_oracle(ternary, ternary=True, dev=NOISY, seed=3, tile_rows=3)),
+        ("clipping-full-scale", make_hw_oracle(small, bits=4, dev=NOISY, seed=4, tile_rows=8,
+                                               adc=AdcParams(bits=3, full_scale=5.5))),
+        ("ideal-adc", make_hw_oracle(maxcut, bits=3, dev=NOISY, seed=6, tile_rows=4,
+                                     adc=AdcParams(bits=None))),
+        # OFF leakage reads as counts, so a flip moves counts in every column
+        ("leakage-reads", make_hw_oracle(maxcut, bits=3, dev=DeviceParams(i_off_ratio=0.05),
+                                         seed=5, tile_rows=14, adc=AdcParams(bits=10))),
+    ]
+    cases += [(f"pfp323-bits{bits}", make_hw_oracle(factoring, bits=bits, seed=7,
+                                                     dev=DeviceParams(i_on_rel_sigma=0.0)))
+              for bits in (2, 3, 4, 5)]
+    return cases
+
+
+class TestFlipDeltas:
+    """``flip_deltas`` equals the reset/peek loop bit for bit."""
+
+    @pytest.mark.parametrize("count", [3, BATCH_STATES, 2 * BATCH_STATES + 5, CALIBRATION_SAMPLES],
+                             ids=["below-chunk", "one-chunk", "not-a-multiple", "calibration"])
+    def test_equals_reset_peek_loop(self, count):
+        for name, oracle in batch_cases():
+            states, flips = calibration_pairs(oracle.n, count, count)
+            want = reset_peek_deltas(oracle.evaluator(), states, flips)
+            assert oracle.evaluator().flip_deltas(states, flips).tolist() == want, name
+            full = [oracle(np.where(np.arange(oracle.n) == i, 1 - x, x)) - oracle(x)
+                    for x, i in zip(states, flips)]
+            assert want == full, name
+
+    def test_kinds(self):
+        kinds = {name: type(oracle.evaluator()) for name, oracle in batch_cases()}
+        assert kinds.pop("ideal-adc") is FullEvaluator
+        assert set(kinds.values()) == {HwEvaluator}
+        assert len(batch_cases()[0][1]._bands) > 1
+
+    def test_state_is_kept_and_shape_checked(self):
+        oracle = batch_cases()[0][1]
+        evaluator = oracle.evaluator()
+        x = np.ones(oracle.n, dtype=np.int8)
+        evaluator.reset(x)
+        states, flips = calibration_pairs(oracle.n, 5, 0)
+        evaluator.flip_deltas(states, flips)
+        x[3] = 0
+        assert evaluator.peek([3]) == oracle(x)
+        with pytest.raises(DimensionError):
+            evaluator.flip_deltas(states[:, 1:], flips)
+        with pytest.raises(DimensionError):
+            evaluator.flip_deltas(states, flips[1:])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_start_equals_the_calibration_loop(self, seed):
+        """``anneal._start`` returns the (t0, x, E) of the per-state loop it replaced."""
+        for name, oracle in batch_cases()[:3] + [("exact", exact_oracle(random_maxcut(30, 90, 3)))]:
+            cfg = AnnealConfig(seed=seed)
+            cal, main = np.random.SeedSequence(seed).spawn(2)
+            cal_rng = np.random.Generator(np.random.PCG64(cal))
+            evaluator = oracle.evaluator()
+            deltas = np.empty(CALIBRATION_SAMPLES)
+            for i in range(CALIBRATION_SAMPLES):
+                e = evaluator.reset(cal_rng.integers(0, 2, size=oracle.n, dtype=np.int8))
+                deltas[i] = evaluator.peek(anneal.flip_indices(oracle.n, 1, cal_rng)) - e
+            x = np.random.Generator(np.random.PCG64(main)).integers(0, 2, size=oracle.n,
+                                                                    dtype=np.int8)
+            _, _, t0, got_x, energy = anneal._start(oracle, oracle.n, cfg)
+            assert (t0, got_x.tolist(), energy) == (float(np.std(deltas)), x.tolist(), oracle(x)), name
 
 
 def random_states(oracle, seed, count=40):

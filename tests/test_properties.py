@@ -34,7 +34,7 @@ from qubocim import qubo
 from qubocim.convert import FactorizationEncoding, Graph, coloring_to_qubo, pfp_to_qubo
 from qubocim.errors import UnsupportedInstanceError
 from qubocim.cli import main
-from qubocim.crossbar import AdcParams, DeviceParams, make_hw_oracle, quantize
+from qubocim.crossbar import BATCH_STATES, AdcParams, DeviceParams, make_hw_oracle, quantize
 from qubocim.compress import CompressedQubo, compress, compressed_energy, decompress
 from qubocim.compress import to_text as compressed_to_text
 
@@ -337,7 +337,9 @@ def evaluator_walks(draw, kind: str):
     The ternary oracle gets a coloring QUBO, whose compressed matrix lies
     in {0, 1, 2}; the others a QUBO with small integer coefficients.  A step
     is ``("reset", x, known)``, resetting to ``x`` with or without its
-    energy given, or ``("peek", flips, commit)``.
+    energy given, ``("peek", flips, commit)``, or ``("deltas", (states,
+    flips), None)``, a batch of single-flip deltas, always followed by a
+    reset because it leaves the evaluator's state unspecified.
     """
     if kind == "hw-ternary":
         vertices = draw(st.integers(2, 12))
@@ -357,7 +359,14 @@ def evaluator_walks(draw, kind: str):
         lambda bits: np.array(bits, dtype=np.int8))
     steps = [("reset", draw(state), False)]
     for _ in range(draw(st.integers(1, 40))):
-        if draw(st.integers(0, 9)) == 0:
+        kind = draw(st.integers(0, 19))
+        if kind == 0:
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            count = draw(st.integers(1, BATCH_STATES + 3))
+            batch = (rng.integers(0, 2, size=(count, n), dtype=np.int8),
+                     rng.integers(0, n, size=count).tolist())
+            steps += [("deltas", batch, None), ("reset", draw(state), False)]
+        elif kind < 3:
             steps.append(("reset", draw(state), draw(st.booleans())))
         else:
             flips = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
@@ -376,6 +385,12 @@ def test_evaluator_walks_equal_the_oracle(kind):
         evaluator = oracle.evaluator()
         x = None
         for step, arg, flag in steps:
+            if step == "deltas":
+                states, flips = arg
+                want = [oracle(np.where(np.arange(problem.n) == i, 1 - y, y)) - oracle(y)
+                        for y, i in zip(states, flips)]
+                assert evaluator.flip_deltas(states, flips).tolist() == want
+                continue
             if step == "reset":
                 x = arg.copy()
                 energy = evaluator.reset(x, oracle(x) if flag else None)
