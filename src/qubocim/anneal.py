@@ -10,7 +10,8 @@ off: no tolerance, equal-energy moves adopted, no epoch end and no widened
 move.
 
 The solvers see the oracle through an evaluator (``reset`` / ``peek`` /
-``commit``, see :class:`qubocim.qubo.FullEvaluator`): an oracle with an
+``commit``, and ``flip_deltas`` for the t0 calibration, see
+:class:`qubocim.qubo.FullEvaluator`): an oracle with an
 ``evaluator()`` method supplies its own delta evaluator, and any other
 callable is evaluated in full on every candidate.
 

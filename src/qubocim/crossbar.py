@@ -531,12 +531,13 @@ class HwEvaluator:
         o = self._oracle
         self._x = o._bits(x).copy()
         self._counts, self._col_counts, self._total = o._read(self._x)
-        self._active = self._x[o._cols] == 1
+        self._active = self._x[o._cols].astype(np.float64)
         self._energy = o._energy(self._x, self._total) if energy is None else energy
         return self._energy
 
     def peek(self, flips) -> float:
         o = self._oracle
+        n_planes = len(o._weights)
         y = self._x.copy()
         toggle(y, flips)
         total = self._total
@@ -545,18 +546,19 @@ class HwEvaluator:
             band = o._bands[b]
             counts = o._live_counts(band, y[o._phys_rows[band.r0:band.r1]].astype(np.float64))
             diff = counts - self._counts[b]
-            changed = np.flatnonzero(diff)
+            changed = diff.nonzero()[0]
             entries, diff = band.entries[changed], diff[changed]
             planes, cols = np.divmod(entries, o.stack.n_cols)
-            total = total + np.bincount(planes, diff * self._active[cols], len(o._weights))
+            total = total + np.bincount(planes, diff * self._active[cols], n_planes)
             changes.append((b, counts, entries, diff, planes, cols))
         for i in flips:
             c = o._col_of[i]
             if c >= 0:
-                column = self._col_counts[:, c].copy()
+                column = self._col_counts[:, c]
                 for *_, diff, planes, cols in changes:
                     at = cols == c
-                    column[planes[at]] += diff[at]  # a band lists each entry once
+                    if at.any():
+                        column = column + np.bincount(planes[at], diff[at], n_planes)
                 total = total + column if y[i] else total - column
         energy = o._energy(y, total)
         self._pending = (y, changes, total, energy)
@@ -570,7 +572,7 @@ class HwEvaluator:
             self._counts[b] = counts
             flat[entries] += diff
         self._x = y
-        self._active = y[self._oracle._cols] == 1
+        self._active = y[self._oracle._cols].astype(np.float64)
 
     def flip_deltas(self, states, flips) -> np.ndarray:
         """``E(x with bit i toggled) - E(x)`` for each row ``x`` of ``states`` and ``i`` of ``flips``.
