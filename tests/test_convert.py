@@ -1,5 +1,7 @@
 """Tests for the Max-Cut, coloring, and factorization converters and parsers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,24 @@ class TestFactorization:
         q, _ = pfp_to_qubo(FactorizationEncoding(35, 1, 1))
         assert len(q.offdiag) == 19
         assert sparsity(q) == pytest.approx(1 - 25 / 36)
+
+
+RING = Graph.from_edges(30, [(u, (u + s) % 30) for u in range(30) for s in (1, 7)])
+PFP143 = FactorizationEncoding(143, *suggest_bit_lengths(143))
+
+
+@pytest.mark.parametrize("build, pinned", [
+    (lambda: coloring_to_qubo(RING, 4, 0.1), "c50f60dd370da93a"),
+    (lambda: coloring_to_qubo(RING, 3, 1 / 3), "a00250188273d5ee"),
+    (lambda: pfp_to_qubo(FactorizationEncoding(323, 3, 3)), "58e91b2b3f4dad18"),
+    (lambda: pfp_to_qubo(FactorizationEncoding(323, 3, 3), reduction_penalty=0.7),
+     "d4f213f60735a6d2"),
+    (lambda: pfp_to_qubo(PFP143, 1 / 3), "71da567d54ab2ba2"),
+], ids=["coloring-k4-0.1", "coloring-k3-third", "pfp323", "pfp323-0.7", "pfp143-third"])
+def test_converter_output_pinned(build, pinned):
+    """Non-dyadic penalties pin the order in which repeated coefficients are summed."""
+    q, _ = build()
+    assert hashlib.sha256(to_text(q).encode()).hexdigest()[:16] == pinned
 
 
 class TestParsers:
