@@ -269,38 +269,31 @@ def coloring_to_qubo(g: Graph, n_colors: int, penalty: float = 1.0) -> tuple[Qub
     _check_size(g.n_vertices * n_colors)
     enc = ColoringEncoding(g, n_colors)
     n = max(enc.n_vars, 1)
+    var = np.arange(enc.n_vars).reshape(g.n_vertices, n_colors)
+    p, r = np.triu_indices(n_colors, 1)
+    u, v, _ = g.edge_arrays()
+    rows = np.concatenate([var[:, p].ravel(), var[u].ravel()])
+    cols = np.concatenate([var[:, r].ravel(), var[v].ravel()])
+    values = np.concatenate([np.full(g.n_vertices * len(p), 2.0 * penalty),
+                             np.ones(len(u) * n_colors)])
     linear = np.zeros(n)
-    offdiag: dict[tuple[int, int], float] = {}
+    linear[:enc.n_vars] = -penalty
     constant = 0.0
-    for i in range(g.n_vertices):
+    for _ in range(g.n_vertices):  # vertex by vertex: n * penalty may round differently
         constant += penalty
-        for p in range(n_colors):
-            linear[enc.var_index(i, p)] -= penalty
-            for r in range(p + 1, n_colors):
-                key = (enc.var_index(i, p), enc.var_index(i, r))
-                offdiag[key] = offdiag.get(key, 0.0) + 2.0 * penalty
-    for (u, v) in sorted(g.weights):
-        for p in range(n_colors):
-            a, b = enc.var_index(u, p), enc.var_index(v, p)
-            key = (min(a, b), max(a, b))
-            offdiag[key] = offdiag.get(key, 0.0) + 1.0
-    return QuboProblem(n, offdiag, linear, constant), enc
+    return QuboProblem.from_arrays(n, rows, cols, values, linear, constant), enc
 
 
 def decode_coloring(enc: ColoringEncoding, x) -> ColoringReport:
     """Read off per-vertex color sets and flag one-hot / adjacency violations."""
-    bits = as_bits(x, enc.n_vars)
-    assignment = tuple(
-        tuple(p for p in range(enc.n_colors) if bits[enc.var_index(i, p)])
-        for i in range(enc.n_vertices)
-    )
-    uncolored = tuple(i for i, colors in enumerate(assignment) if len(colors) == 0)
-    multicolored = tuple(i for i, colors in enumerate(assignment) if len(colors) > 1)
-    conflicts = tuple(
-        (u, v) for (u, v) in sorted(enc.graph.weights)
-        if set(assignment[u]) & set(assignment[v])
-    )
-    return ColoringReport(assignment, uncolored, multicolored, conflicts)
+    bits = as_bits(x, enc.n_vars).reshape(enc.n_vertices, enc.n_colors)
+    assignment = tuple(tuple(np.flatnonzero(row).tolist()) for row in bits)
+    colors = bits.sum(axis=1)
+    u, v, _ = enc.graph.edge_arrays()
+    clash = (bits[u] & bits[v]).any(axis=1)
+    return ColoringReport(assignment, tuple(np.flatnonzero(colors == 0).tolist()),
+                          tuple(np.flatnonzero(colors > 1).tolist()),
+                          tuple(zip(u[clash].tolist(), v[clash].tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -446,61 +439,37 @@ def pfp_to_qubo(enc: FactorizationEncoding,
     of the squared-equation objective, which guarantees the penalty dominates
     any single constraint violation.
     """
-    linear: dict[int, float] = {}
-    offdiag: dict[tuple[int, int], float] = {}
-    constant = 0.0
-
-    def add_lin(v: int, c: float):
-        linear[v] = linear.get(v, 0.0) + c
-
-    def add_quad(a: int, b: int, c: float):
-        key = (min(a, b), max(a, b))
-        offdiag[key] = offdiag.get(key, 0.0) + c
-
+    linear = [0] * enc.n_vars
+    pairs: list[tuple[int, int, int]] = []
+    constant = 0
     for col in enc.columns:
-        terms: list[tuple[int | None, float]] = [(None, float(col.constant - col.target))]
-        terms += [(v, 1.0) for v in col.singles]
-        terms += [(v, 1.0) for v in col.products]
-        terms += [(v, 1.0) for v in col.carries_in]
-        terms += [(v, -float(1 << r)) for (v, r) in col.carries_out]
-        # Expand (sum of terms)^2 exactly: squares once, cross terms twice.
-        for a_idx in range(len(terms)):
-            va, ca = terms[a_idx]
-            if va is None:
-                constant += ca * ca
-            else:
-                add_lin(va, ca * ca)  # va^2 == va for binary variables
-            for b_idx in range(a_idx + 1, len(terms)):
-                vb, cb = terms[b_idx]
-                coeff = 2.0 * ca * cb
-                if va is None and vb is None:
-                    constant += coeff
-                elif va is None:
-                    add_lin(vb, coeff)
-                elif vb is None:
-                    add_lin(va, coeff)
-                elif va == vb:
-                    add_lin(va, coeff)
-                else:
-                    add_quad(va, vb, coeff)
+        # (b + sum_k c_k x_k)^2 with x_k^2 == x_k is b^2, plus c_k (c_k + 2b) x_k,
+        # plus 2 c_k c_m x_k x_m per pair.  No variable repeats in a column,
+        # and every coefficient is an integer, so each sum is exact in any order.
+        b = col.constant - col.target
+        terms = [(v, 1) for v in (*col.singles, *col.products, *col.carries_in)]
+        terms += [(v, -(1 << r)) for (v, r) in col.carries_out]
+        constant += b * b
+        for k, (v, c) in enumerate(terms):
+            linear[v] += c * (c + 2 * b)
+            pairs += [(v, w, 2 * c * d) for w, d in terms[k + 1:]]
+    rows, cols, values = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+    objective = QuboProblem.from_arrays(enc.n_vars, rows, cols, values, linear, constant)
 
     if reduction_penalty is None:
-        magnitudes = [abs(c) for c in linear.values()] + [abs(c) for c in offdiag.values()]
-        reduction_penalty = 2.0 * max(magnitudes, default=1.0)
+        magnitudes = np.abs(np.concatenate([objective.linear, objective.term_arrays()[2]]))
+        reduction_penalty = 2.0 * float(magnitudes.max())
     if reduction_penalty <= 0:
         raise ConfigError("reduction_penalty must be positive")
 
-    for (i, j), z in enc.z_vars.items():
-        p, q = enc.p_vars[i - 1], enc.q_vars[j - 1]
-        add_quad(p, q, reduction_penalty)
-        add_quad(p, z, -2.0 * reduction_penalty)
-        add_quad(q, z, -2.0 * reduction_penalty)
-        add_lin(z, 3.0 * reduction_penalty)
-
-    lin_vec = np.zeros(enc.n_vars)
-    for v, c in linear.items():
-        lin_vec[v] = c
-    return QuboProblem(enc.n_vars, offdiag, lin_vec, constant), enc
+    products = [(enc.p_vars[i - 1], enc.q_vars[j - 1], z) for (i, j), z in enc.z_vars.items()]
+    p, q, z = np.array(products, dtype=np.int64).reshape(-1, 3).T
+    penalty_linear = np.zeros(enc.n_vars)
+    penalty_linear[z] = 3.0 * reduction_penalty
+    penalties = QuboProblem.from_arrays(
+        enc.n_vars, np.concatenate([p, p, q]), np.concatenate([q, z, z]),
+        np.repeat(reduction_penalty * np.array([1.0, -2.0, -2.0]), len(z)), penalty_linear)
+    return objective + penalties, enc
 
 
 def factorization_qubo(N: int, k: int | None = None, l: int | None = None,
