@@ -249,7 +249,6 @@ def _anneal(oracle: Oracle, n: int, cfg: AnnealConfig,
     flips = cfg.flip_base
     wide_flips = min(n, cfg.flip_base + 1)
     candidate = flip_indices(n, flips, rng)
-    last_flips = flips
 
     recorder = _Recorder()
     iters = 0
@@ -274,7 +273,7 @@ def _anneal(oracle: Oracle, n: int, cfg: AnnealConfig,
         else:
             trap_count += 1  # trajectory stagnant this iteration
         recorder.add(iters, epoch, e_new, e_ref, e_best, accepted,
-                     multi_epoch and not accepted, temperature, last_flips)
+                     multi_epoch and not accepted, temperature, len(candidate))
 
         if widen:
             if accepted:
@@ -291,12 +290,9 @@ def _anneal(oracle: Oracle, n: int, cfg: AnnealConfig,
             flips = cfg.flip_base
             x_cur = x_best.copy()
             e_o = evaluator.reset(x_cur, e_best)
-            candidate = flip_indices(n, flips, rng)
-            last_flips = flips
         else:
-            candidate = flip_indices(n, flips, rng)
-            last_flips = flips
             temperature *= alpha
+        candidate = flip_indices(n, flips, rng)
 
     trace = recorder.finish(x_best, e_best, min(epoch + 1, cfg.max_epochs))
     return x_best, e_best, trace

@@ -276,6 +276,11 @@ def _plane(sign: int, weight: float, rows: np.ndarray, cols: np.ndarray,
     return Plane(sign, weight, shape, rows, cols, currents, dev.i_on_mean * dev.i_off_ratio)
 
 
+def _check_tiles(tile_rows: int, tile_cols: int) -> None:
+    if tile_rows < 1 or tile_cols < 1:
+        raise ConfigError(f"tile sizes must be >= 1, got {tile_rows} x {tile_cols}")
+
+
 def program(qq: QuantizedQubo, dev: DeviceParams = DeviceParams(), seed: int = 0,
             tile_rows: int = 32, tile_cols: int = 32) -> CrossbarStack:
     """Program bit-sliced planes: plane m of each sign holds bit m of the codes.
@@ -283,8 +288,10 @@ def program(qq: QuantizedQubo, dev: DeviceParams = DeviceParams(), seed: int = 0
     Each plane keeps only its ON cells.  Planes draw from one stream in
     stack order (plus planes by bit, then minus planes), each as
     :func:`_sample_on_currents` describes: per-tile die offsets, then one
-    truncated normal per ON cell, O(ON cells + tiles) per plane.
+    truncated normal per ON cell, O(ON cells + tiles) per plane.  Tile sizes
+    below 1 are a :class:`ConfigError`.
     """
+    _check_tiles(tile_rows, tile_cols)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     p, q = qq.shape
     magnitude = np.abs(qq.codes)
@@ -308,8 +315,10 @@ def program_ternary(values: np.ndarray, dev: DeviceParams = DeviceParams(), seed
     Element value = number of ON cells in its vertical cell pair (0 -> 00,
     1 -> 10, 2 -> 11), so the physical array has twice the logical rows and
     readout needs no shift-and-add.  ON currents are sampled as in
-    :func:`program`, for the one plane.
+    :func:`program`, for the one plane.  Entries outside {0, 1, 2} are an
+    :class:`EncodingError`, tile sizes below 1 a :class:`ConfigError`.
     """
+    _check_tiles(tile_rows, tile_cols)
     vals = np.asarray(values)
     if vals.ndim != 2:
         raise DimensionError("ternary matrix must be 2-D")
@@ -648,10 +657,7 @@ def make_hw_oracle(compressed: CompressedQubo, *, bits: int = 5, ternary: bool =
     the minimum that makes noiseless readout exact.
     """
     if ternary:
-        qp = np.asarray(compressed.qprime)
-        if qp.size and (np.any(qp != np.rint(qp)) or qp.min() < 0 or qp.max() > 2):
-            raise EncodingError("matrix is not ternary over {0, 1, 2}")
-        stack = program_ternary(np.rint(qp).astype(np.int64), dev, seed, tile_rows, tile_cols)
+        stack = program_ternary(compressed.qprime, dev, seed, tile_rows, tile_cols)
     else:
         stack = program(quantize(compressed, bits), dev, seed, tile_rows, tile_cols)
     if adc is None:

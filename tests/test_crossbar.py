@@ -277,6 +277,19 @@ class TestHwOracle:
         with pytest.raises(EncodingError):
             make_hw_oracle(c, ternary=True, seed=0)
 
+    @pytest.mark.parametrize("ternary", [False, True])
+    @pytest.mark.parametrize("tiles", [{"tile_rows": -4}, {"tile_rows": 0}, {"tile_cols": 0},
+                                       {"tile_cols": -1}])
+    def test_tile_sizes_below_one_rejected(self, ternary, tiles):
+        # Unchecked, tile_rows=-4 builds an oracle that reads 0.0 for every
+        # state, tile_rows=0 fails in range() and tile_cols=0 divides by zero.
+        weights = ({(0, 1): 1, (1, 2): 2, (2, 3): 1} if ternary
+                   else {(0, 1): 1, (1, 2): -2, (2, 3): 3})
+        c, _ = compress(QuboProblem(4, weights))
+        with pytest.raises(ConfigError, match="tile sizes"):
+            make_hw_oracle(c, bits=3, ternary=ternary, dev=DeviceParams(die_offset_sigma=0.1),
+                           **tiles)
+
     def test_energy_lsb_and_eps_coupling(self):
         q = QuboProblem(4, {(0, 1): 2.0, (2, 3): 1.0})
         c, _ = compress(q)
