@@ -21,6 +21,7 @@ ADC resolution (``bits >= ceil(log2(rows)) + 1``) the pipeline is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,6 +31,17 @@ import numpy as np
 from .compress import CompressedQubo
 from .errors import ConfigError, DimensionError, EncodingError
 from .qubo import FullEvaluator, as_bits, toggle
+
+
+# Widest code, quantizer or ADC.  Every level is an exact float64 integer up to
+# 53 bits, but at 53 the quantizer's ``peak / scale`` can round the largest
+# magnitude down to level 2**53 - 2; at 52 bits and below it reads full scale.
+MAX_BITS = 52
+
+
+def _check_bits(bits: int, what: str) -> None:
+    if not 1 <= bits <= MAX_BITS:
+        raise ConfigError(f"{what} must lie in [1, {MAX_BITS}], got {bits}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +69,8 @@ class DeviceParams:
 class AdcParams:
     """Uniform clamped quantizer for column currents.
 
-    ``bits=None`` bypasses quantization entirely (ideal analog readout).
+    ``bits`` lies in ``[1, MAX_BITS]``; ``bits=None`` bypasses quantization
+    entirely (ideal analog readout).
     ``full_scale=None`` defaults per tile to the worst-case column current,
     all rows of the tile ON.
     """
@@ -66,8 +79,8 @@ class AdcParams:
     full_scale: float | None = None
 
     def __post_init__(self):
-        if self.bits is not None and self.bits < 1:
-            raise ConfigError("adc bits must be >= 1")
+        if self.bits is not None:
+            _check_bits(self.bits, "adc bits")
         if self.full_scale is not None and not 0 < self.full_scale < math.inf:
             raise ConfigError("full_scale must be positive and finite")
 
@@ -148,10 +161,11 @@ def quantize(c: CompressedQubo, bits: int) -> QuantizedQubo:
 
     ``scale = max|Q'| / (2**bits - 1)``; magnitudes round half away from
     zero, so every element is within ``scale/2`` of its fixed-point image.
-    An all-zero matrix gets scale 1 with all codes zero.
+    An all-zero matrix gets scale 1 with all codes zero.  ``bits`` must lie
+    in ``[1, MAX_BITS]``, so that every code is an exact float64 integer and
+    the largest magnitude gets the full-scale code.
     """
-    if bits < 1:
-        raise ConfigError("bits must be >= 1")
+    _check_bits(bits, "bits")
     values = c.values
     magnitude = np.abs(values)
     peak = float(magnitude.max()) if values.size else 0.0
@@ -289,9 +303,10 @@ def program(qq: QuantizedQubo, dev: DeviceParams = DeviceParams(), seed: int = 0
     stack order (plus planes by bit, then minus planes), each as
     :func:`_sample_on_currents` describes: per-tile die offsets, then one
     truncated normal per ON cell, O(ON cells + tiles) per plane.  Tile sizes
-    below 1 are a :class:`ConfigError`.
+    below 1 and code widths outside ``[1, MAX_BITS]`` are a :class:`ConfigError`.
     """
     _check_tiles(tile_rows, tile_cols)
+    _check_bits(qq.bits, "bits")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     p, q = qq.shape
     magnitude = np.abs(qq.codes)
@@ -383,6 +398,13 @@ def vmv(stack: CrossbarStack, x_h, x_v, adc: AdcParams = AdcParams()) -> tuple[f
 
 # States per band product in HwEvaluator.flip_deltas; bounds its transient memory.
 BATCH_STATES = 16
+# HwEvaluator's move table: the most moves of one width it tabulates at a state
+# (bounds a table's memory and the cost of one build), the moves per band
+# product while it does, and the live-entry reads of a table that cost about
+# what one table-served peek of width 1 saves (sets when a table is built).
+MOVE_TABLE_MAX = 512
+MOVE_CHUNK = 128
+MOVE_PEEK_READS = 1000
 
 
 class _Band(NamedTuple):
@@ -393,6 +415,10 @@ class _Band(NamedTuple):
     currents: np.ndarray  # (rows, live entries) cell currents, planes in stack order
     full_scale: float
     entries: np.ndarray   # flat index plane * n_cols + column of each live entry
+    rows: np.ndarray      # variable of each physical row
+    col_vars: np.ndarray  # column variable of each live entry
+    starts: np.ndarray    # first live entry of each plane present (entries sort by plane)
+    planes: np.ndarray    # the plane of each of those segments
 
 
 class HwOracle:
@@ -447,7 +473,11 @@ class HwOracle:
             entries = np.flatnonzero(is_live)
             currents = np.full((r1 - r0, len(entries)), stack.off_current)
             currents[rows[a:b] - r0, np.searchsorted(entries, keys[a:b])] = on_currents[a:b]
-            self._bands.append(_Band(r0, r1, currents, full_scale, entries))
+            planes, cols = np.divmod(entries, stack.n_cols)
+            starts = np.flatnonzero(np.diff(planes, prepend=-1))
+            self._bands.append(_Band(r0, r1, currents, full_scale, entries,
+                                     self._phys_rows[r0:r1], self._cols[cols],
+                                     starts, planes[starts]))
         # For delta evaluation: the bands each variable drives as a row
         # variable, and its column index (-1 when it is not a column variable).
         self._var_bands: list[list[int]] = [[] for _ in range(self.n)]
@@ -518,6 +548,16 @@ class HwOracle:
         return FullEvaluator(self) if self.adc.bits is None else HwEvaluator(self)
 
 
+class _Moves(NamedTuple):
+    """Every move of one width, ``combinations(range(n), width)``, laid out per band."""
+
+    index: dict         # sorted tuple of flipped variables -> move number
+    flips: np.ndarray   # (moves, width) flipped variables
+    bands: list         # (band number, moves that re-read it, their row and entry
+                        # flips, entry-to-plane indicator)
+    trigger: int        # peeks at one state that build the table
+
+
 class HwEvaluator:
     """Delta evaluation of a :class:`HwOracle` with a quantizing ADC.
 
@@ -531,10 +571,31 @@ class HwEvaluator:
     commit applies the changed entries to the column sums in place.  Counts
     are integers, so every sum is exact whatever its order and each energy
     equals ``oracle(y)`` bit for bit.
+
+    A stuck annealer peeks one move after another at the same state.  When
+    a width w has at most ``MOVE_TABLE_MAX`` moves, ``C(n, w)``, a move
+    table holds the per-plane totals of all of them at once: each band is
+    re-read for the moves that flip one of its row variables,
+    ``MOVE_CHUNK`` moves per ``(moves, rows) @ (rows, live)`` product
+    through the same kernel, and a move's totals are the base totals, plus
+    its re-read counts' changes over its own active columns, plus or minus
+    the base column sums of its flipped column variables.  A width-w peek
+    that is at least the k-th peek at one state, of any width, builds the
+    table, ``k = max(2, products + ceil(reads / (w * MOVE_PEEK_READS)))``
+    for a table of ``products`` band products over ``reads`` live entries:
+    a dearer table waits for more evidence that the state is stuck.  Later
+    width-w peeks at that state read their totals from the table and return
+    ``HwOracle._energy`` of them, as an ordinary peek does.  The sums are
+    of integers, so exact in any order; the batched product and the single
+    one are not one BLAS call, so their count equality is tested, not
+    proved, as for :meth:`flip_deltas`.  A commit of a move served from a
+    table reads its bands the ordinary way first; a reset or a commit drops
+    the tables.
     """
 
     def __init__(self, oracle: HwOracle):
         self._oracle = oracle
+        self._moves: dict[int, _Moves | None] = {}  # by width; None above the cap
 
     def reset(self, x, energy: float | None = None) -> float:
         o = self._oracle
@@ -542,18 +603,34 @@ class HwEvaluator:
         self._counts, self._col_counts, self._total = o._read(self._x)
         self._active = self._x[o._cols].astype(np.float64)
         self._energy = o._energy(self._x, self._total) if energy is None else energy
+        self._drop_tables()
         return self._energy
 
+    def _drop_tables(self):
+        self._tables: dict[int, np.ndarray] = {}  # per-move totals by width
+        self._peeks = 0  # at this state, of any width
+
     def peek(self, flips) -> float:
-        o = self._oracle
-        n_planes = len(o._weights)
         y = self._x.copy()
         toggle(y, flips)
+        table = self._table(len(flips))
+        if table is None:
+            changes, total = self._read_move(y, flips)
+        else:
+            changes, total = None, table[self._moves[len(flips)].index[tuple(sorted(flips))]]
+        energy = self._oracle._energy(y, total)
+        self._pending = (flips, y, changes, total, energy)
+        return energy
+
+    def _read_move(self, y, flips):
+        """(changed entries per re-read band, per-plane totals) of state ``y``."""
+        o = self._oracle
+        n_planes = len(o._weights)
         total = self._total
         changes = []
         for b in sorted({band for i in flips for band in o._var_bands[i]}):
             band = o._bands[b]
-            counts = o._live_counts(band, y[o._phys_rows[band.r0:band.r1]].astype(np.float64))
+            counts = o._live_counts(band, y[band.rows].astype(np.float64))
             diff = counts - self._counts[b]
             changed = diff.nonzero()[0]
             entries, diff = band.entries[changed], diff[changed]
@@ -569,19 +646,74 @@ class HwEvaluator:
                     if at.any():
                         column = column + np.bincount(planes[at], diff[at], n_planes)
                 total = total + column if y[i] else total - column
-        energy = o._energy(y, total)
-        self._pending = (y, changes, total, energy)
-        return energy
+        return changes, total
 
     def commit(self):
-        y, changes, self._total, self._energy = self._pending
+        flips, y, changes, total, energy = self._pending
         del self._pending  # the column sums below change in place: commit once per peek
+        if changes is None:  # served from a table
+            changes = self._read_move(y, flips)[0]
+        self._total, self._energy = total, energy
         flat = self._col_counts.reshape(-1)
         for b, counts, entries, diff, *_ in changes:
             self._counts[b] = counts
             flat[entries] += diff
         self._x = y
         self._active = y[self._oracle._cols].astype(np.float64)
+        self._drop_tables()
+
+    def _table(self, width: int) -> np.ndarray | None:
+        """Per-plane totals of every width-``width`` move at this state, once
+        the peeks here, of any width, reach the table's trigger, or None."""
+        self._peeks += 1
+        table = self._tables.get(width)
+        if table is None:
+            if width not in self._moves:
+                self._moves[width] = (self._lay_out(width) if math.comb(self._oracle.n, width)
+                                      <= MOVE_TABLE_MAX else None)
+            moves = self._moves[width]
+            if moves is not None and self._peeks >= moves.trigger:
+                self._tables[width] = table = self._tabulate(moves)
+        return table
+
+    def _lay_out(self, width: int) -> _Moves:
+        o = self._oracle
+        combos = list(itertools.combinations(range(o.n), width))
+        flips = np.array(combos, dtype=np.intp).reshape(len(combos), width)
+        plane_ids = np.arange(len(o._weights))
+        bands, products, reads = [], 0, 0
+        for b, band in enumerate(o._bands):
+            row_flips = (band.rows[:, None] == flips[:, None, :]).any(axis=2)
+            moves = np.flatnonzero(row_flips.any(axis=1))
+            if moves.size:
+                entry_flips = (band.col_vars[:, None] == flips[moves, None, :]).any(axis=2)
+                # Entry-to-plane indicator: the per-plane sum of live entries is one product.
+                to_planes = (band.entries[:, None] // o.stack.n_cols == plane_ids).astype(float)
+                bands.append((b, moves, row_flips[moves].view(np.int8),
+                              entry_flips.view(np.int8), to_planes))
+                products += -(-moves.size // MOVE_CHUNK)
+                reads += moves.size * band.entries.size
+        trigger = max(2, products + -(-reads // (max(width, 1) * MOVE_PEEK_READS)))
+        return _Moves({move: m for m, move in enumerate(combos)}, flips, bands, trigger)
+
+    def _tabulate(self, moves: _Moves) -> np.ndarray:
+        o = self._oracle
+        x = self._x
+        # Toggling a column variable on adds its base column sum, toggling it off
+        # removes it; the appended zero column serves the other variables.
+        padded = np.concatenate([self._col_counts, np.zeros((len(o._weights), 1))], axis=1)
+        signed = padded.T[o._col_of] * (1.0 - 2.0 * x)[:, None]
+        totals = self._total + signed[moves.flips].sum(axis=1)
+        for b, moved, row_flips, entry_flips, to_planes in moves.bands:
+            band = o._bands[b]
+            act_rows = x[band.rows] ^ row_flips
+            active = x[band.col_vars] ^ entry_flips
+            for lo in range(0, len(moved), MOVE_CHUNK):
+                chunk = slice(lo, lo + MOVE_CHUNK)
+                diff = o._live_counts(band, act_rows[chunk].astype(np.float64)) - self._counts[b]
+                diff *= active[chunk]
+                totals[moved[chunk]] += diff @ to_planes
+        return totals
 
     def flip_deltas(self, states, flips) -> np.ndarray:
         """``E(x with bit i toggled) - E(x)`` for each row ``x`` of ``states`` and ``i`` of ``flips``.
@@ -614,20 +746,17 @@ class HwEvaluator:
         gains = np.zeros_like(totals)   # from re-read bands, over the base's active columns
         column = np.zeros_like(totals)  # the flipped state's counts in its flipped column
         for band, again in zip(o._bands, drives):
-            rows = o._phys_rows[band.r0:band.r1]
-            planes, cols = np.divmod(band.entries, n_cols)
-            starts = np.flatnonzero(np.diff(planes, prepend=-1))  # entries sort by plane
+            rows, starts, seg_planes = band.rows, band.starts, band.planes
             if not starts.size:
                 continue
-            col_vars, seg_planes = o._cols[cols], planes[starts]
             # Where each plane holds each state's flipped column, if it does.
             keys = seg_planes[:, None] * n_cols + flip_cols
-            at = np.minimum(np.searchsorted(band.entries, keys), len(cols) - 1)
+            at = np.minimum(np.searchsorted(band.entries, keys), len(band.entries) - 1)
             found = (band.entries[at] == keys) & (flip_cols >= 0)
             for lo in range(0, len(flips), BATCH_STATES):
                 chunk = slice(lo, lo + BATCH_STATES)
                 counts = o._live_counts(band, base[chunk, rows].astype(np.float64))
-                active = base[chunk, col_vars]
+                active = base[chunk, band.col_vars]
                 totals[chunk, seg_planes] += np.add.reduceat(counts * active, starts, axis=1)
                 reread = np.flatnonzero(again[chunk])
                 if reread.size:

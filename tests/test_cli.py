@@ -284,6 +284,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "sweep")] + flags) == 3
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--bits", "63"], ["--bits", "64"], ["--adc-bits", "1100"]])
+    def test_bit_widths_beyond_exact_float_codes_are_3(self, tmp_path, capsys, flags):
+        # Far above 52 bits a code is no exact float64 integer: quantize
+        # overflowed int64 (the largest codes became 0) and the ADC overflowed float.
+        assert main(["solve", "--pfp", "35", "--oracle", "hw", "--max-iters", "20",
+                     "--out", str(tmp_path / "out")] + flags) == 3
+        assert "must lie in [1, 52]" in capsys.readouterr().err
+
     def test_cqubo_non_finite_coefficient_is_2(self, tmp_path):
         src = tmp_path / "nan.cqubo"
         src.write_text("cqubo 3 1 1\nc 0.0\nrows 0\ncols 1\nm nan\n")

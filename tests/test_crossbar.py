@@ -1,10 +1,12 @@
 """Tests for the behavioral crossbar simulator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qubocim.compress import CompressedQubo, compress
-from qubocim.crossbar import (AdcParams, DeviceParams, dump_stack, make_hw_oracle,
+from qubocim.crossbar import (MAX_BITS, AdcParams, DeviceParams, dump_stack, make_hw_oracle,
                               program, program_ternary, quantize, vmv)
 from qubocim.errors import ConfigError, DimensionError, EncodingError
 from qubocim.qubo import QuboProblem
@@ -61,6 +63,28 @@ class TestQuantize:
     def test_bad_bits(self):
         with pytest.raises(ConfigError):
             quantize(rect([[1.0]]), 0)
+
+    @pytest.mark.parametrize("bits", [MAX_BITS + 1, 63, 64, 1100])
+    def test_bits_above_the_exact_width(self, bits):
+        with pytest.raises(ConfigError):
+            quantize(rect([[1.0]]), bits)
+        with pytest.raises(ConfigError):
+            AdcParams(bits=bits)
+
+    def test_widest_codes_are_exact(self):
+        # Before the bound, codes overflowed int64 at 63 bits and -64 read 0.
+        qq = quantize(rect([[-64.0, 36.0, 1.0]]), MAX_BITS)
+        assert qq.codes[0] == -(2 ** MAX_BITS - 1) and qq.codes[1:].min() > 0
+        assert np.allclose(qq.scale * qq.codes, qq.values, rtol=1e-15, atol=0)
+        rng = np.random.default_rng(0)
+        for _ in range(100):  # at 53 bits about 4 in 10 of these miss full scale by one
+            qq = quantize(rect(rng.normal(size=(1, 3)) * 10 ** rng.uniform(-3, 3)), MAX_BITS)
+            assert np.abs(qq.codes).max() == 2 ** MAX_BITS - 1
+        assert program(qq, IDEAL, seed=0).planes[0].weight == 1.0
+        with pytest.raises(ConfigError):
+            program(replace(qq, bits=MAX_BITS + 1), IDEAL, seed=0)
+        levels = np.array([float(2 ** MAX_BITS - 1)])
+        assert AdcParams(bits=MAX_BITS).read(levels, levels[0], 1.0)[1].tolist() == levels.tolist()
 
     def test_ternary_matrix_two_bit_scale(self):
         # a {0,1,2} matrix quantized at 2 bits gets scale 2/3 and rounding

@@ -6,6 +6,7 @@ compared with the oracle's own full evaluation of the same state.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from qubocim.compress import compress
 from qubocim.convert import (FactorizationEncoding, Graph, coloring_to_qubo,
                              demo_coloring_instance, maxcut_to_qubo, pfp_to_qubo,
                              suggest_bit_lengths)
-from qubocim.crossbar import (BATCH_STATES, AdcParams, DeviceParams, HwEvaluator,
+from qubocim import crossbar
+from qubocim.crossbar import (BATCH_STATES, MOVE_TABLE_MAX, AdcParams, DeviceParams, HwEvaluator,
                               make_hw_oracle, vmv)
 from qubocim.errors import DimensionError
 from qubocim.qubo import ExactEvaluator, FullEvaluator, QuboProblem, exact_oracle
@@ -210,6 +212,130 @@ class TestFlipDeltas:
                                                                     dtype=np.int8)
             _, _, t0, got_x, energy = anneal._start(oracle, oracle.n, cfg)
             assert (t0, got_x.tolist(), energy) == (float(np.std(deltas)), x.tolist(), oracle(x)), name
+
+
+def count_band_reads(oracle):
+    """Wrap the oracle's band kernel; returns the list its calls append to."""
+    calls = []
+    kernel = oracle._live_counts
+
+    def counted(band, act_rows):
+        calls.append(len(act_rows) if act_rows.ndim == 2 else 1)
+        return kernel(band, act_rows)
+
+    oracle._live_counts = counted
+    return calls
+
+
+def peek_checked(evaluator, oracle, x, flips, calls=()):
+    """Peek ``flips`` from state ``x`` and check the energy; returns the peeked
+    state and the band reads the peek appended to ``calls``."""
+    y = x.copy()
+    y[flips] ^= 1
+    want = oracle(y)
+    before = len(calls)
+    assert evaluator.peek(flips) == want
+    return y, list(calls[before:])
+
+
+def stuck_walk(oracle, widths, seed, steps=300, commit_rate=0.05):
+    """A random walk that, like a trapped annealer, peeks many moves per state
+    and commits few; every energy is checked against ``oracle(y)``.  Returns
+    the number of tables built."""
+    rng = np.random.default_rng(seed)
+    evaluator = oracle.evaluator()
+    x = rng.integers(0, 2, size=oracle.n, dtype=np.int8)
+    assert evaluator.reset(x) == oracle(x)
+    built = 0
+    for _ in range(steps):
+        width = int(rng.choice(widths))
+        had = width in evaluator._tables
+        flips = rng.choice(oracle.n, size=width, replace=False).tolist()
+        y = peek_checked(evaluator, oracle, x, flips)[0]
+        built += not had and width in evaluator._tables
+        if rng.random() < commit_rate:
+            evaluator.commit()
+            x = y
+            assert not evaluator._tables
+    return built
+
+
+class TestMoveTable:
+    """The per-state move table serves repeated peeks at one state exactly."""
+
+    def test_table_peeks_make_no_band_read(self):
+        oracle = make_hw_oracle(pfp323(), bits=5, seed=7, dev=DeviceParams(i_on_rel_sigma=0.0))
+        calls = count_band_reads(oracle)
+        evaluator = oracle.evaluator()
+        x = np.random.default_rng(0).integers(0, 2, size=oracle.n, dtype=np.int8)
+        rows = oracle._rows.tolist()  # flipping one of these re-reads the band
+        rng = np.random.default_rng(1)
+        for width in (1, 2):
+            evaluator.reset(x)
+            assert peek_checked(evaluator, oracle, x, rows[:width], calls)[1] == [1]
+            trigger = evaluator._moves[width].trigger
+            assert trigger >= 2 and width not in evaluator._tables
+            for _ in range(2, trigger):  # ordinary peeks: one band read for one state
+                flips = rng.choice(rows, size=width, replace=False).tolist()
+                assert peek_checked(evaluator, oracle, x, flips, calls)[1] == [1]
+            built = peek_checked(evaluator, oracle, x, rows[-width:], calls)[1]
+            assert width in evaluator._tables and sum(built) == len(evaluator._moves[width].flips) - \
+                math.comb(oracle.n - len(set(rows)), width)  # every move that flips a row variable
+            for _ in range(40):
+                flips = rng.choice(oracle.n, size=width, replace=False).tolist()
+                assert peek_checked(evaluator, oracle, x, flips, calls)[1] == []
+        # Peeks of every width count: after enough single peeks, the first pair peek builds.
+        evaluator.reset(x)
+        for _ in range(evaluator._moves[2].trigger - 1):
+            peek_checked(evaluator, oracle, x, rng.choice(rows, size=1).tolist())
+        assert 1 in evaluator._tables and 2 not in evaluator._tables
+        assert sum(peek_checked(evaluator, oracle, x, rows[:2], calls)[1]) > 1
+        assert 2 in evaluator._tables
+
+    def test_commit_after_a_table_peek(self):
+        oracle = make_hw_oracle(pfp323(), bits=3, seed=7, dev=NOISY)
+        evaluator = oracle.evaluator()
+        x = np.zeros(oracle.n, dtype=np.int8)
+        evaluator.reset(x)
+        while 1 not in evaluator._tables:
+            peek_checked(evaluator, oracle, x, [0])
+        y = peek_checked(evaluator, oracle, x, [5])[0]
+        evaluator.commit()
+        assert not evaluator._tables
+        for i in range(oracle.n):
+            peek_checked(evaluator, oracle, y, [i])
+            peek_checked(evaluator, oracle, y, [i, (i + 1) % oracle.n])
+        assert 1 in evaluator._tables and 2 in evaluator._tables
+        assert evaluator.reset(y) == oracle(y) and not evaluator._tables
+
+    @pytest.mark.parametrize("kind", ["binary", "ternary"])
+    def test_multiband(self, kind):
+        if kind == "binary":
+            oracle = make_hw_oracle(compress(random_maxcut(30, 90, 2))[0], bits=3, dev=NOISY,
+                                    seed=2, tile_rows=3)
+        else:
+            graph, k, penalty = demo_coloring_instance()
+            ternary, _ = compress(coloring_to_qubo(graph, k, penalty)[0])
+            oracle = make_hw_oracle(ternary, ternary=True, dev=NOISY, seed=3, tile_rows=3)
+        assert len(oracle._bands) > 2
+        assert stuck_walk(oracle, [1, 2], 1, steps=600) > 2
+
+    def test_empty_and_width_three(self):
+        oracle = make_hw_oracle(compress(random_maxcut(14, 40, 5))[0], bits=3, dev=NOISY,
+                                seed=5, tile_rows=3)
+        assert stuck_walk(oracle, [0, 3], 5, steps=400) > 2
+
+    def test_above_the_cap_never_tabulates(self, monkeypatch):
+        oracle = make_hw_oracle(pfp323(), bits=4, seed=7, dev=NOISY)
+        monkeypatch.setattr(crossbar, "MOVE_TABLE_MAX", oracle.n - 1)
+        calls = count_band_reads(oracle)
+        evaluator = oracle.evaluator()
+        x = np.ones(oracle.n, dtype=np.int8)
+        evaluator.reset(x)
+        for _ in range(60):
+            assert peek_checked(evaluator, oracle, x, [int(oracle._rows[0])], calls)[1] == [1]
+        assert evaluator._moves == {1: None} and not evaluator._tables
+        assert MOVE_TABLE_MAX >= 435  # every pair of the 30 pfp323 variables fits by default
 
 
 def random_states(oracle, seed, count=40):

@@ -23,7 +23,13 @@
   resets, peeks and commits, every energy it returns equals ``oracle(y)``
   exactly, on the exact oracle and on single-band, noisy multi-band,
   ternary and ideal-ADC crossbars.
+* The ternary encoding accepts exactly the matrices over {0, 1, 2}, and
+  the cell pair of each element holds as many ON cells as its value.
+* A run is reproducible per seed: ``iter_trials`` gives the same records,
+  apart from their wall times, in one process and in a pool of two.
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -31,10 +37,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qubocim import qubo
+from qubocim.anneal import SOLVERS, AnnealConfig, iter_trials
 from qubocim.convert import FactorizationEncoding, Graph, coloring_to_qubo, pfp_to_qubo
-from qubocim.errors import UnsupportedInstanceError
+from qubocim.errors import EncodingError, UnsupportedInstanceError
 from qubocim.cli import main
-from qubocim.crossbar import BATCH_STATES, AdcParams, DeviceParams, make_hw_oracle, quantize
+from qubocim.crossbar import (BATCH_STATES, AdcParams, DeviceParams, make_hw_oracle,
+                              program_ternary, quantize)
 from qubocim.compress import CompressedQubo, compress, compressed_energy, decompress
 from qubocim.compress import to_text as compressed_to_text
 
@@ -407,3 +415,57 @@ def test_evaluator_walks_equal_the_oracle(kind):
                 x = y
 
     check()
+
+
+TERNARY_VALUES = [0, 1, 2, -0.0, 2.0]
+OTHER_VALUES = [-1, 3, 0.5, 1.5, 2.0000000000000004, -2, 1e300, float("nan"), float("inf")]
+
+
+@bounded(150)
+@given(data=st.data())
+def test_ternary_encoding_accepts_exactly_0_1_2(data):
+    p, q = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    pool = TERNARY_VALUES + (OTHER_VALUES if data.draw(st.booleans()) else [])
+    cells = data.draw(st.lists(st.sampled_from(pool), min_size=p * q, max_size=p * q))
+    dtype = np.float64 if any(isinstance(v, float) for v in cells) else data.draw(
+        st.sampled_from([np.int64, np.int8, np.float64]))
+    values = np.array(cells, dtype=dtype).reshape(p, q)
+    tiles = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    if all(v in (0, 1, 2) for v in cells):
+        stack = program_ternary(values, seed=data.draw(st.integers(0, 99)), tile_rows=tiles[0],
+                                tile_cols=tiles[1])
+        on_cells = stack.planes[0].states.reshape(p, 2, q).sum(axis=1)
+        assert np.array_equal(on_cells, values)
+    else:
+        with pytest.raises(EncodingError):
+            program_ternary(values, tile_rows=tiles[0], tile_cols=tiles[1])
+
+
+def trial_records(oracle, n, cfg, trials, solver, jobs):
+    """Every field of each record but its wall time, traces as CSV text."""
+    records = []
+    for r in iter_trials(oracle, n, cfg, trials, solver=solver, jobs=jobs):
+        csv = io.StringIO()
+        r.trace.write_csv(csv)
+        records.append((r.index, r.seed, r.x.tolist(), r.e_best, r.trace.x_best.tolist(),
+                        r.trace.e_final, r.trace.epochs_used, csv.getvalue()))
+    return records
+
+
+@bounded(6)
+@given(data=st.data())
+def test_trials_reproduce_in_a_process_pool(data):
+    n = data.draw(st.integers(2, 24))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    coefficient = st.integers(-9, 9).map(float)
+    problem = qubo.QuboProblem(n, data.draw(st.lists(st.tuples(pair, coefficient), max_size=60)),
+                               data.draw(st.lists(coefficient, min_size=n, max_size=n)), 0.0)
+    if data.draw(st.booleans()):
+        oracle = qubo.exact_oracle(problem)
+    else:
+        oracle = make_hw_oracle(compress(problem)[0], bits=3, dev=NOISY, seed=5, tile_rows=4)
+    cfg = AnnealConfig(seed=data.draw(st.integers(0, 2 ** 32)), max_iters=300,
+                       count_max=data.draw(st.integers(5, 40)))
+    trials, solver = data.draw(st.integers(1, 4)), data.draw(st.sampled_from(SOLVERS))
+    assert trial_records(oracle, n, cfg, trials, solver, 1) == \
+        trial_records(oracle, n, cfg, trials, solver, 2)
