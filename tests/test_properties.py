@@ -20,9 +20,10 @@
 * The coloring and factoring QUBOs have minimum energy 0 exactly when the
   instance is feasible (checked by brute force over at most 20 variables).
 * An oracle's own evaluator agrees with the oracle: along a random walk of
-  resets, peeks and commits, every energy it returns equals ``oracle(y)``
-  exactly, on the exact oracle and on single-band, noisy multi-band,
-  ternary and ideal-ADC crossbars.
+  resets, peeks, commits and runs of peeks at one state long enough to
+  build a move table, every energy it returns equals ``oracle(y)`` exactly,
+  on the exact oracle and on single-band, noisy multi-band, ternary and
+  ideal-ADC crossbars.
 * The ternary encoding accepts exactly the matrices over {0, 1, 2}, and
   the cell pair of each element holds as many ON cells as its value.
 * A run is reproducible per seed: ``iter_trials`` gives the same records,
@@ -345,9 +346,12 @@ def evaluator_walks(draw, kind: str):
     The ternary oracle gets a coloring QUBO, whose compressed matrix lies
     in {0, 1, 2}; the others a QUBO with small integer coefficients.  A step
     is ``("reset", x, known)``, resetting to ``x`` with or without its
-    energy given, ``("peek", flips, commit)``, or ``("deltas", (states,
-    flips), None)``, a batch of single-flip deltas, always followed by a
-    reset because it leaves the evaluator's state unspecified.
+    energy given, ``("peek", flips, commit)``, ``("stuck", (width, seed),
+    None)``, peeks of random width-``width`` moves at the current state
+    until a move table of that width exists (see :func:`stuck_peeks`), or
+    ``("deltas", (states, flips), None)``, a batch of single-flip deltas,
+    always followed by a reset because it leaves the evaluator's state
+    unspecified.
     """
     if kind == "hw-ternary":
         vertices = draw(st.integers(2, 12))
@@ -376,10 +380,30 @@ def evaluator_walks(draw, kind: str):
             steps += [("deltas", batch, None), ("reset", draw(state), False)]
         elif kind < 3:
             steps.append(("reset", draw(state), draw(st.booleans())))
+        elif kind == 3:
+            steps.append(("stuck", (draw(st.integers(0, min(3, n))),
+                                    draw(st.integers(0, 2 ** 32 - 1))), None))
         else:
             flips = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
             steps.append(("peek", flips, draw(st.booleans())))
     return problem, steps
+
+
+def stuck_peeks(evaluator, n: int, width: int, seed: int):
+    """Random width-``width`` moves over ``n`` variables, for peeks at one state.
+
+    Moves come until the evaluator holds a move table of that width, then
+    two more, so that the peek that builds the table and later table peeks
+    are both drawn.  An evaluator that keeps no tables, or none of that
+    width (above its cap), gets three moves.
+    """
+    rng = np.random.default_rng(seed)
+    left = 3
+    while left:
+        yield rng.choice(n, size=width, replace=False).tolist()
+        tables = getattr(evaluator, "_tables", None)
+        if tables is None or evaluator._moves[width] is None or width in tables:
+            left -= 1
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLES))
@@ -401,6 +425,12 @@ def test_evaluator_walks_equal_the_oracle(kind):
                     z[i] ^= 1
                     want.append(oracle(z) - oracle(y))
                 assert evaluator.flip_deltas(states, flips).tolist() == want
+                continue
+            if step == "stuck":
+                for flips in stuck_peeks(evaluator, problem.n, *arg):
+                    y = x.copy()
+                    y[flips] ^= 1
+                    assert evaluator.peek(flips) == oracle(y)
                 continue
             if step == "reset":
                 x = arg.copy()
