@@ -195,7 +195,9 @@ def _start(oracle: Oracle, n: int, cfg: AnnealConfig):
     the calibration generator before it evaluates any: for each pair in
     turn a random state, then one flip index.  The evaluator's
     ``flip_deltas`` then returns every single-flip energy change in one
-    call; t0 is their standard deviation (1.0 if it is 0).
+    call; t0 is their standard deviation (1.0 if it is 0).  Where that
+    overflows float64 (the squares of deltas above about 1e154 do), it is
+    taken of the deltas divided by their largest magnitude and scaled back.
     """
     cfg.validate(n)
     cal, main = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -211,7 +213,12 @@ def _start(oracle: Oracle, n: int, cfg: AnnealConfig):
         for state in states:
             state[:] = cal_rng.integers(0, 2, size=n, dtype=np.int8)
             flips += flip_indices(n, 1, cal_rng)
-        spread = float(np.std(evaluator.flip_deltas(states, flips)))
+        deltas = evaluator.flip_deltas(states, flips)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is handled below
+            spread = float(np.std(deltas))
+        if not math.isfinite(spread):
+            peak = float(np.max(np.abs(deltas)))
+            spread = float(np.std(deltas / peak)) * peak
         t0 = spread if spread > 0 else 1.0
     x = rng.integers(0, 2, size=n, dtype=np.int8)
     return rng, evaluator, t0, x, evaluator.reset(x)

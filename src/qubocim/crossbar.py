@@ -434,13 +434,13 @@ class HwOracle:
     from the planes' ON-cell lists, so an evaluation is one matvec per band
     over the live entries.  A dead entry holds OFF leakage only; it is
     dropped only when the band's worst-case leakage, all rows active, reads
-    as count 0, so it would read 0 in every state.  Otherwise (an ideal or a fine ADC, heavy leakage) every entry is
-    live and the matrix is the band's planes side by side.  ADC counts equal
-    those of :func:`vmv` on the same stack.  The currents may differ from
-    it in the last bit, because the matvec sums a column at another
-    position; that moves a count only at an exact rounding boundary.
-    :meth:`evaluator` gives the solver delta evaluation that reproduces
-    ``__call__`` bit for bit.
+    as count 0, so it would read 0 in every state.  Otherwise (an ideal or
+    a fine ADC, heavy leakage) every entry is live and the matrix is the
+    band's planes side by side.  ADC counts equal those of :func:`vmv` on
+    the same stack.  The currents may differ from it in the last bit,
+    because the matvec sums a column at another position; that moves a
+    count only at an exact rounding boundary.  :meth:`evaluator` gives the
+    solver delta evaluation that reproduces ``__call__`` bit for bit.
     """
 
     def __init__(self, compressed: CompressedQubo, stack: CrossbarStack, adc: AdcParams):
@@ -553,8 +553,7 @@ class _Moves(NamedTuple):
 
     index: dict         # sorted tuple of flipped variables -> move number
     flips: np.ndarray   # (moves, width) flipped variables
-    bands: list         # (band number, moves that re-read it, their row and entry
-                        # flips, entry-to-plane indicator)
+    bands: list         # (band number, moves that re-read it, their row and entry flips)
     trigger: int        # peeks at one state that build the table
 
 
@@ -563,34 +562,32 @@ class HwEvaluator:
 
     The integer counts of every band's live entries are cached, all columns
     included, together with their per-(plane, column) sums over the bands,
-    as :meth:`HwOracle._read` returns them.  A peek re-reads only the bands
-    that hold a flipped row variable, with the kernel of ``__call__``, keeps
-    the live entries whose counts changed, adds those of active columns to
-    the per-plane totals and adds or removes the updated column sums of
-    flipped column variables; the linear term is recomputed in full.  A
-    commit applies the changed entries to the column sums in place.  Counts
-    are integers, so every sum is exact whatever its order and each energy
-    equals ``oracle(y)`` bit for bit.
+    as :meth:`HwOracle._read` returns them.  Every move is evaluated by one
+    read, :meth:`_reread`: a band that holds a flipped row variable is read
+    again, through ``HwOracle._live_counts``, for the new states' row
+    activations, and the per-plane sums of its count changes over the new
+    states' active columns are returned.  A move's per-plane totals are the
+    base totals, plus or minus the base column sums of its flipped column
+    variables (plus where it turns one on), plus those sums over its
+    re-read bands; its energy is ``HwOracle._energy`` of them.  Counts are
+    integers, so every sum is exact whatever its order and each energy
+    equals ``oracle(y)`` bit for bit.  A peek is one such move; a commit
+    applies the peeked bands' count changes to the column sums in place.
 
     A stuck annealer peeks one move after another at the same state.  When
     a width w has at most ``MOVE_TABLE_MAX`` moves, ``C(n, w)``, a move
-    table holds the per-plane totals of all of them at once: each band is
-    re-read for the moves that flip one of its row variables,
-    ``MOVE_CHUNK`` moves per ``(moves, rows) @ (rows, live)`` product
-    through the same kernel, and a move's totals are the base totals, plus
-    its re-read counts' changes over its own active columns, plus or minus
-    the base column sums of its flipped column variables.  A width-w peek
-    that is at least the k-th peek at one state, of any width, builds the
-    table, ``k = max(2, products + ceil(reads / (w * MOVE_PEEK_READS)))``
-    for a table of ``products`` band products over ``reads`` live entries:
-    a dearer table waits for more evidence that the state is stuck.  Later
-    width-w peeks at that state read their totals from the table and return
-    ``HwOracle._energy`` of them, as an ordinary peek does.  The sums are
-    of integers, so exact in any order; the batched product and the single
-    one are not one BLAS call, so their count equality is tested, not
-    proved, as for :meth:`flip_deltas`.  A commit of a move served from a
-    table reads its bands the ordinary way first; a reset or a commit drops
-    the tables.
+    table holds the per-plane totals of all of them at once, each band read
+    for the moves that flip one of its row variables, ``MOVE_CHUNK`` moves
+    per ``(moves, rows) @ (rows, live)`` product.  A width-w peek that is at
+    least the k-th peek at one state, of any width, builds the table,
+    ``k = max(2, products + ceil(reads / (w * MOVE_PEEK_READS)))`` for a
+    table of ``products`` band products over ``reads`` live entries: a
+    dearer table waits for more evidence that the state is stuck.  Later
+    width-w peeks at that state read their totals from the table.  The
+    batched product and the single one are not one BLAS call, so their count
+    equality is tested, not proved, as for :meth:`flip_deltas`.  A commit of
+    a move served from a table reads its bands the ordinary way first; a
+    reset or a commit drops the tables.
     """
 
     def __init__(self, oracle: HwOracle):
@@ -601,7 +598,6 @@ class HwEvaluator:
         o = self._oracle
         self._x = o._bits(x).copy()
         self._counts, self._col_counts, self._total = o._read(self._x)
-        self._active = self._x[o._cols].astype(np.float64)
         self._energy = o._energy(self._x, self._total) if energy is None else energy
         self._drop_tables()
         return self._energy
@@ -610,56 +606,59 @@ class HwEvaluator:
         self._tables: dict[int, np.ndarray] = {}  # per-move totals by width
         self._peeks = 0  # at this state, of any width
 
+    def _reread(self, band: _Band, base, act_rows, active) -> tuple[np.ndarray, np.ndarray]:
+        """Read ``band`` for new states; returns their fresh live counts and,
+        for each plane of ``band.planes``, the sums of ``(fresh - base) *
+        active`` over the plane's live entries.
+
+        ``act_rows`` holds the new states' activations of the band's rows
+        and ``active`` their activations of its live entries' columns, one
+        state as a vector or one state per row; ``base`` holds the counts
+        the states are moved from, one row for all or one row per state.
+        """
+        fresh = self._oracle._live_counts(band, act_rows.astype(np.float64))
+        change = fresh - base
+        change *= active
+        return fresh, np.add.reduceat(change, band.starts, axis=-1)
+
+    def _move(self, y, flips) -> tuple[np.ndarray, dict]:
+        """Per-plane totals of state ``y``, ``flips`` away from this state, and
+        the fresh counts of the bands it re-reads, by band number."""
+        o = self._oracle
+        total = self._total.copy()
+        for i in flips:
+            c = o._col_of[i]
+            if c >= 0:
+                total += self._col_counts[:, c] if y[i] else -self._col_counts[:, c]
+        fresh = {}
+        for b in {b for i in flips for b in o._var_bands[i]}:
+            band = o._bands[b]
+            fresh[b], sums = self._reread(band, self._counts[b], y[band.rows], y[band.col_vars])
+            total[band.planes] += sums
+        return total, fresh
+
     def peek(self, flips) -> float:
         y = self._x.copy()
         toggle(y, flips)
         table = self._table(len(flips))
         if table is None:
-            changes, total = self._read_move(y, flips)
+            total, fresh = self._move(y, flips)
         else:
-            changes, total = None, table[self._moves[len(flips)].index[tuple(sorted(flips))]]
+            total, fresh = table[self._moves[len(flips)].index[tuple(sorted(flips))]], None
         energy = self._oracle._energy(y, total)
-        self._pending = (flips, y, changes, total, energy)
+        self._pending = (flips, y, fresh, total, energy)
         return energy
 
-    def _read_move(self, y, flips):
-        """(changed entries per re-read band, per-plane totals) of state ``y``."""
-        o = self._oracle
-        n_planes = len(o._weights)
-        total = self._total
-        changes = []
-        for b in sorted({band for i in flips for band in o._var_bands[i]}):
-            band = o._bands[b]
-            counts = o._live_counts(band, y[band.rows].astype(np.float64))
-            diff = counts - self._counts[b]
-            changed = diff.nonzero()[0]
-            entries, diff = band.entries[changed], diff[changed]
-            planes, cols = np.divmod(entries, o.stack.n_cols)
-            total = total + np.bincount(planes, diff * self._active[cols], n_planes)
-            changes.append((b, counts, entries, diff, planes, cols))
-        for i in flips:
-            c = o._col_of[i]
-            if c >= 0:
-                column = self._col_counts[:, c]
-                for *_, diff, planes, cols in changes:
-                    at = cols == c
-                    if at.any():
-                        column = column + np.bincount(planes[at], diff[at], n_planes)
-                total = total + column if y[i] else total - column
-        return changes, total
-
     def commit(self):
-        flips, y, changes, total, energy = self._pending
+        flips, y, fresh, total, energy = self._pending
         del self._pending  # the column sums below change in place: commit once per peek
-        if changes is None:  # served from a table
-            changes = self._read_move(y, flips)[0]
-        self._total, self._energy = total, energy
+        if fresh is None:  # served from a table
+            fresh = self._move(y, flips)[1]
         flat = self._col_counts.reshape(-1)
-        for b, counts, entries, diff, *_ in changes:
+        for b, counts in fresh.items():
+            flat[self._oracle._bands[b].entries] += counts - self._counts[b]
             self._counts[b] = counts
-            flat[entries] += diff
-        self._x = y
-        self._active = y[self._oracle._cols].astype(np.float64)
+        self._x, self._total, self._energy = y, total, energy
         self._drop_tables()
 
     def _table(self, width: int) -> np.ndarray | None:
@@ -680,17 +679,13 @@ class HwEvaluator:
         o = self._oracle
         combos = list(itertools.combinations(range(o.n), width))
         flips = np.array(combos, dtype=np.intp).reshape(len(combos), width)
-        plane_ids = np.arange(len(o._weights))
         bands, products, reads = [], 0, 0
         for b, band in enumerate(o._bands):
             row_flips = (band.rows[:, None] == flips[:, None, :]).any(axis=2)
             moves = np.flatnonzero(row_flips.any(axis=1))
             if moves.size:
                 entry_flips = (band.col_vars[:, None] == flips[moves, None, :]).any(axis=2)
-                # Entry-to-plane indicator: the per-plane sum of live entries is one product.
-                to_planes = (band.entries[:, None] // o.stack.n_cols == plane_ids).astype(float)
-                bands.append((b, moves, row_flips[moves].view(np.int8),
-                              entry_flips.view(np.int8), to_planes))
+                bands.append((b, moves, row_flips[moves].view(np.int8), entry_flips.view(np.int8)))
                 products += -(-moves.size // MOVE_CHUNK)
                 reads += moves.size * band.entries.size
         trigger = max(2, products + -(-reads // (max(width, 1) * MOVE_PEEK_READS)))
@@ -704,32 +699,31 @@ class HwEvaluator:
         padded = np.concatenate([self._col_counts, np.zeros((len(o._weights), 1))], axis=1)
         signed = padded.T[o._col_of] * (1.0 - 2.0 * x)[:, None]
         totals = self._total + signed[moves.flips].sum(axis=1)
-        for b, moved, row_flips, entry_flips, to_planes in moves.bands:
+        for b, moved, row_flips, entry_flips in moves.bands:
             band = o._bands[b]
             act_rows = x[band.rows] ^ row_flips
             active = x[band.col_vars] ^ entry_flips
             for lo in range(0, len(moved), MOVE_CHUNK):
                 chunk = slice(lo, lo + MOVE_CHUNK)
-                diff = o._live_counts(band, act_rows[chunk].astype(np.float64)) - self._counts[b]
-                diff *= active[chunk]
-                totals[moved[chunk]] += diff @ to_planes
+                totals[moved[chunk, None], band.planes] += self._reread(
+                    band, self._counts[b], act_rows[chunk], active[chunk])[1]
         return totals
 
     def flip_deltas(self, states, flips) -> np.ndarray:
         """``E(x with bit i toggled) - E(x)`` for each row ``x`` of ``states`` and ``i`` of ``flips``.
 
-        Every band is read for ``BATCH_STATES`` states at a time, one
+        Every band is read for ``BATCH_STATES`` base states at a time, one
         ``(states, rows) @ (rows, live)`` product through the kernel of
-        ``__call__``, and each state's per-plane totals sum its counts over
-        its active columns.  A flipped state reuses its base state's counts
-        except in the bands its flipped variable drives as a row variable,
-        which are read again for those states only; as in :meth:`peek`, its
-        totals are the base's plus the changed counts of those bands over
-        the base's active columns, plus or minus the updated counts of its
-        flipped column.  Counts are integers, so every sum is exact in any
-        order, and every energy goes through :meth:`HwOracle._energy`: each
-        delta equals ``peek([i]) - reset(x)`` bit for bit.  The evaluator's
-        own state is left as it was.
+        ``__call__``, and each base state's per-plane totals sum its counts
+        over its active columns.  Each flipped state is then one move from
+        its own base state, evaluated as :meth:`peek` evaluates one: the
+        bands its flipped variable drives as a row variable go through
+        :meth:`_reread` for those states only, and the base's counts in its
+        flipped column, gathered band by band, give the column term.  Counts
+        are integers, so every sum is exact in any order, and every energy
+        goes through :meth:`HwOracle._energy`: each delta equals
+        ``peek([i]) - reset(x)`` bit for bit.  The evaluator's own state is
+        left as it was.
         """
         o = self._oracle
         base = np.asarray(states, dtype=np.int8)
@@ -737,43 +731,39 @@ class HwEvaluator:
         if base.shape != (len(flips), o.n):
             raise DimensionError(f"expected {len(flips)} states of length {o.n}, "
                                  f"got shape {base.shape}")
-        n_planes, n_cols = len(o._weights), o.stack.n_cols
+        flipped = base.copy()
+        flipped[np.arange(len(flips)), flips] ^= 1
         flip_cols = o._col_of[flips]  # -1 where the flipped variable is no column variable
+        # A flipped column variable adds its base column, or removes it; others add 0.
+        signs = np.where(flip_cols >= 0, 2.0 * flipped[np.arange(len(flips)), flips] - 1.0, 0.0)
         drives = np.zeros((len(o._bands), len(flips)), dtype=bool)
         for s, i in enumerate(flips.tolist()):
             drives[o._var_bands[i], s] = True
-        totals = np.zeros((len(flips), n_planes))  # of the base states
-        gains = np.zeros_like(totals)   # from re-read bands, over the base's active columns
-        column = np.zeros_like(totals)  # the flipped state's counts in its flipped column
+        totals = np.zeros((len(flips), len(o._weights)))  # of the base states
+        changes = np.zeros_like(totals)  # of each flipped state's totals from its base's
         for band, again in zip(o._bands, drives):
-            rows, starts, seg_planes = band.rows, band.starts, band.planes
+            rows, cols, starts, seg_planes = band.rows, band.col_vars, band.starts, band.planes
             if not starts.size:
                 continue
             # Where each plane holds each state's flipped column, if it does.
-            keys = seg_planes[:, None] * n_cols + flip_cols
+            keys = seg_planes[:, None] * o.stack.n_cols + flip_cols
             at = np.minimum(np.searchsorted(band.entries, keys), len(band.entries) - 1)
-            found = (band.entries[at] == keys) & (flip_cols >= 0)
+            signed = np.where(band.entries[at] == keys, signs, 0.0)
             for lo in range(0, len(flips), BATCH_STATES):
                 chunk = slice(lo, lo + BATCH_STATES)
                 counts = o._live_counts(band, base[chunk, rows].astype(np.float64))
-                active = base[chunk, band.col_vars]
-                totals[chunk, seg_planes] += np.add.reduceat(counts * active, starts, axis=1)
-                reread = np.flatnonzero(again[chunk])
+                totals[chunk, seg_planes] += np.add.reduceat(counts * base[chunk, cols], starts,
+                                                             axis=1)
+                changes[chunk, seg_planes] += (
+                    counts[np.arange(len(counts)), at[:, chunk]] * signed[:, chunk]).T
+                reread = lo + np.flatnonzero(again[chunk])
                 if reread.size:
-                    act_rows = base[lo + reread[:, None], rows] ^ (rows == flips[lo + reread, None])
-                    fresh = o._live_counts(band, act_rows.astype(np.float64))
-                    gains[lo + reread[:, None], seg_planes] += np.add.reduceat(
-                        (fresh - counts[reread]) * active[reread], starts, axis=1)
-                    counts[reread] = fresh
-                column[chunk, seg_planes] += np.where(
-                    found[:, chunk], counts[np.arange(len(counts)), at[:, chunk]], 0.0).T
+                    y = flipped[reread]
+                    changes[reread[:, None], seg_planes] += self._reread(
+                        band, counts[reread - lo], y[:, rows], y[:, cols])[1]
         deltas = np.empty(len(flips))
-        for s, (x, i) in enumerate(zip(base, flips.tolist())):
-            y = x.copy()
-            y[i] ^= 1
-            # Toggling a column variable adds or removes its column; the others add 0.
-            flipped = totals[s] + gains[s] + column[s] if y[i] else totals[s] + gains[s] - column[s]
-            deltas[s] = o._energy(y, flipped) - o._energy(x, totals[s])
+        for s, (x, y) in enumerate(zip(base, flipped)):
+            deltas[s] = o._energy(y, totals[s] + changes[s]) - o._energy(x, totals[s])
         return deltas
 
 

@@ -147,6 +147,13 @@ class _QuadraticForm:
         object.__setattr__(self, "constant", float(constant))
         if not np.isfinite(self.constant):
             raise UnsupportedInstanceError("non-finite constant")
+        # Twice the absolute coefficient sum bounds every energy difference the solver forms.
+        with np.errstate(over="ignore"):
+            bound = 2.0 * (abs(self.constant) + np.abs(getattr(self, self._VECTOR)).sum()
+                           + np.abs(self._terms[2]).sum())
+        if not np.isfinite(bound):
+            raise UnsupportedInstanceError("coefficients too large: twice their absolute sum "
+                                           "overflows float64, and so could an energy")
 
     def term_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Off-diagonal terms as read-only (rows, cols, values) arrays in sorted key order."""

@@ -1,6 +1,7 @@
 """Tests for the command-line harness: pipelines, reports, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -117,6 +118,18 @@ class TestSolve:
                      "--max-iters", "200", "--optimum", "-2", "--out", str(out_c)]) == 0
         rep = json.loads((out_c / "report.json").read_text())
         assert rep["success_rate"] == 1.0
+
+    def test_huge_coefficients_calibrate_a_finite_temperature(self, tmp_path):
+        # The squares of deltas of about 1e200 overflow: t0 was inf, and every
+        # uphill move was accepted.
+        src = tmp_path / "huge.cqubo"
+        src.write_text("cqubo 2 0 0\nc 0\nl 0 1e200\nrows\ncols\n")
+        out = tmp_path / "run"
+        assert main(["solve", str(src), "--kind", "cqubo", "--max-iters", "200",
+                     "--optimum", "none", "--out", str(out)]) == 0
+        rows = (out / "trace_000.csv").read_text().splitlines()[1:]
+        temperatures = [float(row.split(",")[7]) for row in rows]
+        assert len(temperatures) == 200 and all(map(math.isfinite, temperatures))
 
     def test_report_schema_is_stable(self, tmp_path):
         src = tmp_path / "k3.col"
@@ -316,10 +329,13 @@ class TestExitCodes:
         ("p edge -2 0\n", ["solve", "{file}", "--kind", "coloring"], 2),
         ("qubo 2 2\nq 0 1 1.0\nq 0 1 1.0\n", ["solve", "{file}", "--kind", "qubo"], 2),
         ("2 1\n1 2 1e308\n", ["solve", "{file}", "--kind", "maxcut"], 3),
+        ("cqubo 2 0 0\nc 1.5\nl 0 1e308\nl 1 1e308\nrows\ncols\n",
+         ["solve", "{file}", "--kind", "cqubo"], 3),
     ], ids=["qubo-index", "qubo-nan", "gset-self-loop", "dimacs-self-loop", "cqubo-row",
             "colors-0", "penalty-negative", "pfp-bit-lengths", "reduction-penalty-negative",
             "sweep-value", "gset-nan-weight", "gset-negative-vertices", "gset-zero-vertices",
-            "dimacs-negative-vertices", "qubo-repeated-q", "maxcut-coefficient-overflow"])
+            "dimacs-negative-vertices", "qubo-repeated-q", "maxcut-coefficient-overflow",
+            "cqubo-energy-overflow"])
     def test_bad_input_exits_without_traceback(self, tmp_path, capsys, text, argv, code):
         src = tmp_path / "input"
         src.write_text(text)
