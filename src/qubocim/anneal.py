@@ -99,6 +99,13 @@ class AnnealConfig:
         return self.count_max if self.count_max is not None else 2 * n
 
 
+# The per-iteration fields of a trace in CSV column order, with their dtypes;
+# the bool flags are written as 0 and 1.
+_COLUMNS = (("iteration", np.int64), ("epoch", np.int64), ("e_new", np.float64),
+            ("e_o", np.float64), ("e_best", np.float64), ("accepted", bool), ("trapped", bool),
+            ("temperature", np.float64), ("flips", np.int64))
+
+
 @dataclass
 class AnnealTrace:
     """Per-iteration solver record plus the final result.
@@ -126,16 +133,9 @@ class AnnealTrace:
 
     def write_csv(self, stream: IO[str]):
         stream.write(self.CSV_HEADER + "\n")
-        n = self.iters_used
-
-        def column(values, dtype):
-            return np.asarray(values[:n], dtype=dtype).tolist()
-
-        rows = zip(column(self.iteration, np.int64), column(self.epoch, np.int64),
-                   column(self.e_new, np.float64), column(self.e_o, np.float64),
-                   column(self.e_best, np.float64), column(self.accepted, np.int64),
-                   column(self.trapped, np.int64), column(self.temperature, np.float64),
-                   column(self.flips, np.int64))
+        rows = zip(*(np.asarray(getattr(self, name)[:self.iters_used],
+                                dtype=np.int64 if dtype is bool else dtype).tolist()
+                     for name, dtype in _COLUMNS))
         stream.writelines(f"{it},{ep},{en!r},{eo!r},{eb!r},{acc},{trap},{t!r},{k}\n"
                           for it, ep, en, eo, eb, acc, trap, t, k in rows)
 
@@ -144,30 +144,13 @@ class AnnealTrace:
             self.write_csv(f)
 
 
-class _Recorder:
-    def __init__(self):
-        self.rows: list[tuple] = []
-
-    def add(self, iteration, epoch, e_new, e_o, e_best, accepted, trapped, temperature, flips):
-        self.rows.append((iteration, epoch, e_new, e_o, e_best, accepted, trapped, temperature, flips))
-
-    def finish(self, x_best, e_final, epochs_used) -> AnnealTrace:
-        cols = list(zip(*self.rows)) if self.rows else [[]] * 9
-        return AnnealTrace(
-            iteration=np.array(cols[0], dtype=np.int64),
-            epoch=np.array(cols[1], dtype=np.int64),
-            e_new=np.array(cols[2], dtype=np.float64),
-            e_o=np.array(cols[3], dtype=np.float64),
-            e_best=np.array(cols[4], dtype=np.float64),
-            accepted=np.array(cols[5], dtype=bool),
-            trapped=np.array(cols[6], dtype=bool),
-            temperature=np.array(cols[7], dtype=np.float64),
-            flips=np.array(cols[8], dtype=np.int64),
-            x_best=x_best,
-            e_final=float(e_final),
-            iters_used=len(self.rows),
-            epochs_used=epochs_used,
-        )
+def _finish(rows: list[tuple], x_best, e_final, epochs_used) -> AnnealTrace:
+    """The trace of the per-iteration ``rows``, each in :data:`_COLUMNS` order."""
+    cols = list(zip(*rows)) or [()] * len(_COLUMNS)
+    return AnnealTrace(**{name: np.array(col, dtype=dtype)
+                          for (name, dtype), col in zip(_COLUMNS, cols)},
+                       x_best=x_best, e_final=float(e_final), iters_used=len(rows),
+                       epochs_used=epochs_used)
 
 
 def flip_indices(n: int, k: int, rng: np.random.Generator) -> list[int]:
@@ -257,7 +240,7 @@ def _anneal(oracle: Oracle, n: int, cfg: AnnealConfig,
     wide_flips = min(n, cfg.flip_base + 1)
     candidate = flip_indices(n, flips, rng)
 
-    recorder = _Recorder()
+    rows = []
     iters = 0
     while iters < cfg.max_iters:
         iters += 1
@@ -279,8 +262,8 @@ def _anneal(oracle: Oracle, n: int, cfg: AnnealConfig,
                 e_best = e_new
         else:
             trap_count += 1  # trajectory stagnant this iteration
-        recorder.add(iters, epoch, e_new, e_ref, e_best, accepted,
-                     multi_epoch and not accepted, temperature, len(candidate))
+        rows.append((iters, epoch, e_new, e_ref, e_best, accepted,
+                    multi_epoch and not accepted, temperature, len(candidate)))
 
         if widen:
             if accepted:
@@ -301,7 +284,7 @@ def _anneal(oracle: Oracle, n: int, cfg: AnnealConfig,
             temperature *= alpha
         candidate = flip_indices(n, flips, rng)
 
-    trace = recorder.finish(x_best, e_best, min(epoch + 1, cfg.max_epochs))
+    trace = _finish(rows, x_best, e_best, min(epoch + 1, cfg.max_epochs))
     return x_best, e_best, trace
 
 

@@ -142,12 +142,9 @@ def build_instance(rc: RunConfig) -> Instance:
     if rc.kind == "pfp":
         if rc.pfp_n is None:
             raise ConfigError("pfp runs need pfp_n (--pfp N)")
-        k, l = rc.pfp_k, rc.pfp_l
-        if k is None or l is None:
-            k, l = convert.suggest_bit_lengths(rc.pfp_n)
-        enc = convert.FactorizationEncoding(rc.pfp_n, k, l)
-        problem, _ = convert.pfp_to_qubo(enc, rc.reduction_penalty)
-        meta = {"kind": "pfp", "n": rc.pfp_n, "k": k, "l": l, "n_vars": problem.n}
+        problem, enc = convert.factorization_qubo(rc.pfp_n, rc.pfp_k, rc.pfp_l,
+                                                  rc.reduction_penalty)
+        meta = {"kind": "pfp", "n": rc.pfp_n, "k": enc.k, "l": enc.l, "n_vars": problem.n}
         return Instance("pfp", problem, factoring=enc, metadata=meta)
     if rc.source is None:
         raise ConfigError(f"{rc.kind} runs need an input file (source)")

@@ -30,13 +30,14 @@ coefficients, not bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, ParseError
-from .qubo import QuboProblem, _finite, _index, _size, as_bits, read_records
+from .qubo import (QuboProblem, _exact_energy, _finite, _index, _size, as_bits,
+                   read_records)
 
 
 def _frozen(a) -> np.ndarray:
@@ -60,7 +61,9 @@ class CompressedQubo:
     its nonzeros, with their ``values``; memory follows the nonzeros, not
     p x q.  ``qprime`` is the dense read-only matrix, built on first use.
     The constructor takes a dense matrix; :meth:`from_coords` takes the
-    coordinates.
+    coordinates.  A variable appears at most once in ``row_vars`` and at
+    most once in ``col_vars``, as the crossbar reads it through one row and
+    one column; a repeat is a :class:`DimensionError`.
     """
 
     row_vars: tuple[int, ...] = field(init=False)
@@ -97,6 +100,8 @@ class CompressedQubo:
         col_vars = tuple(int(j) for j in col_vars)
         if any(not 0 <= v < source_n for v in (*row_vars, *col_vars)):
             raise DimensionError(f"row or column variable outside 0..{source_n - 1}")
+        if len(set(row_vars)) < len(row_vars) or len(set(col_vars)) < len(col_vars):
+            raise DimensionError("a variable repeats in row_vars or in col_vars")
         coords = (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), _frozen(values))
         for a in coords:
             a.flags.writeable = False
@@ -143,19 +148,7 @@ class CompressionStats:
         return 1.0 - (self.offdiag_nonzeros + self.linear_nonzeros) / self.cells_before
 
     def as_dict(self) -> dict:
-        return {
-            "source_n": self.source_n,
-            "rows_removed": self.rows_removed,
-            "cols_removed": self.cols_removed,
-            "cells_before": self.cells_before,
-            "cells_after": self.cells_after,
-            "chip_size_saving": self.chip_size_saving,
-            "sparsity_before": self.sparsity_before,
-            "sparsity_after": self.sparsity_after,
-            "sparsity_before_with_diagonal": self.sparsity_before_with_diagonal,
-            "offdiag_nonzeros": self.offdiag_nonzeros,
-            "linear_nonzeros": self.linear_nonzeros,
-        }
+        return {**asdict(self), "sparsity_before_with_diagonal": self.sparsity_before_with_diagonal}
 
 
 def compress(q: QuboProblem) -> tuple[CompressedQubo, CompressionStats]:
@@ -264,10 +257,9 @@ def decompress(c: CompressedQubo) -> QuboProblem:
 def compressed_energy(c: CompressedQubo, x) -> float:
     """Energy of a full-length assignment under the rectangular form."""
     bits = as_bits(x, c.source_n).astype(np.float64)
-    xh = bits[list(c.row_vars)]
-    xv = bits[list(c.col_vars)]
-    bilinear = float((xh[c.rows] * xv[c.cols]) @ c.values) if len(c.values) else 0.0
-    return float(c.constant + bits @ c.linear + bilinear)
+    rows = np.array(c.row_vars, dtype=np.intp)[c.rows]
+    cols = np.array(c.col_vars, dtype=np.intp)[c.cols]
+    return float(_exact_energy(bits, c.linear, c.constant, rows, cols, c.values))
 
 
 def split_signs(c: CompressedQubo) -> tuple[np.ndarray, np.ndarray]:

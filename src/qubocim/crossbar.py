@@ -290,9 +290,22 @@ def _plane(sign: int, weight: float, rows: np.ndarray, cols: np.ndarray,
     return Plane(sign, weight, shape, rows, cols, currents, dev.i_on_mean * dev.i_off_ratio)
 
 
-def _check_tiles(tile_rows: int, tile_cols: int) -> None:
+def _stack(layout, shape: tuple[int, int], cells: int, scale: float, dev: DeviceParams,
+           seed: int, tile_rows: int, tile_cols: int) -> CrossbarStack:
+    """The stack of a logical ``shape`` matrix stored on ``cells`` physical
+    rows per logical row: the tile sizes are checked, then one plane is
+    programmed per ``(sign, weight, rows, cols)`` of ``layout``, in order,
+    from one stream seeded by ``seed``."""
     if tile_rows < 1 or tile_cols < 1:
         raise ConfigError(f"tile sizes must be >= 1, got {tile_rows} x {tile_cols}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    p, q = shape
+    planes = tuple(_plane(sign, weight, rows, cols, (cells * p, q), dev, rng, tile_rows, tile_cols)
+                   for sign, weight, rows, cols in layout)
+    return CrossbarStack(
+        n_rows=p, n_cols=q, row_map=np.repeat(np.arange(p, dtype=np.intp), cells),
+        planes=planes, off_current=dev.i_on_mean * dev.i_off_ratio, i_on_mean=dev.i_on_mean,
+        scale=scale, tile_rows=tile_rows, tile_cols=tile_cols)
 
 
 def program(qq: QuantizedQubo, dev: DeviceParams = DeviceParams(), seed: int = 0,
@@ -302,25 +315,33 @@ def program(qq: QuantizedQubo, dev: DeviceParams = DeviceParams(), seed: int = 0
     Each plane keeps only its ON cells.  Planes draw from one stream in
     stack order (plus planes by bit, then minus planes), each as
     :func:`_sample_on_currents` describes: per-tile die offsets, then one
-    truncated normal per ON cell, O(ON cells + tiles) per plane.  Tile sizes
-    below 1 and code widths outside ``[1, MAX_BITS]`` are a :class:`ConfigError`.
+    truncated normal per ON cell, O(ON cells + tiles) per plane.  Code
+    widths outside ``[1, MAX_BITS]`` and tile sizes below 1 are a
+    :class:`ConfigError`.
     """
-    _check_tiles(tile_rows, tile_cols)
     _check_bits(qq.bits, "bits")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    p, q = qq.shape
     magnitude = np.abs(qq.codes)
-    planes = []
+    layout = []
     for sign, of_sign in ((1, qq.codes > 0), (-1, qq.codes < 0)):
         for m in range(qq.bits):
             on = of_sign & ((magnitude >> m) & 1).astype(bool)
-            planes.append(_plane(sign, float(1 << m), qq.rows[on], qq.cols[on], (p, q),
-                                 dev, rng, tile_rows, tile_cols))
-    return CrossbarStack(
-        n_rows=p, n_cols=q, row_map=np.arange(p, dtype=np.intp),
-        planes=tuple(planes), off_current=dev.i_on_mean * dev.i_off_ratio,
-        i_on_mean=dev.i_on_mean, scale=qq.scale,
-        tile_rows=tile_rows, tile_cols=tile_cols)
+            layout.append((sign, float(1 << m), qq.rows[on], qq.cols[on]))
+    return _stack(layout, qq.shape, 1, qq.scale, dev, seed, tile_rows, tile_cols)
+
+
+def _program_ternary(shape: tuple[int, int], rows, cols, values, dev: DeviceParams, seed: int,
+                     tile_rows: int, tile_cols: int) -> CrossbarStack:
+    """The ternary encoding of :func:`program_ternary`, from the row-major
+    sorted coordinates ``(rows, cols)`` of the nonzero elements and their
+    ``values``; a value other than 1 or 2 is an :class:`EncodingError`."""
+    if np.any((values != 1) & (values != 2)):
+        raise EncodingError("ternary encoding requires entries in {0, 1, 2}")
+    two = values == 2
+    rows = np.concatenate([2 * rows, 2 * rows[two] + 1])
+    cols = np.concatenate([cols, cols[two]])
+    order = np.lexsort((cols, rows))
+    return _stack([(1, 1.0, rows[order], cols[order])], shape, 2, 1.0, dev, seed,
+                  tile_rows, tile_cols)
 
 
 def program_ternary(values: np.ndarray, dev: DeviceParams = DeviceParams(), seed: int = 0,
@@ -333,26 +354,14 @@ def program_ternary(values: np.ndarray, dev: DeviceParams = DeviceParams(), seed
     :func:`program`, for the one plane.  Entries outside {0, 1, 2} are an
     :class:`EncodingError`, tile sizes below 1 a :class:`ConfigError`.
     """
-    _check_tiles(tile_rows, tile_cols)
     vals = np.asarray(values)
     if vals.ndim != 2:
         raise DimensionError("ternary matrix must be 2-D")
-    if vals.size and (not np.issubdtype(vals.dtype, np.number)
-                      or np.any((vals != 0) & (vals != 1) & (vals != 2))):
+    if vals.size and not np.issubdtype(vals.dtype, np.number):
         raise EncodingError("ternary encoding requires entries in {0, 1, 2}")
-    p, q = vals.shape
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     rows, cols = np.nonzero(vals)
-    two = vals[rows, cols] == 2
-    rows = np.concatenate([2 * rows, 2 * rows[two] + 1])
-    cols = np.concatenate([cols, cols[two]])
-    order = np.lexsort((cols, rows))
-    plane = _plane(1, 1.0, rows[order], cols[order], (2 * p, q), dev, rng, tile_rows, tile_cols)
-    return CrossbarStack(
-        n_rows=p, n_cols=q, row_map=np.repeat(np.arange(p, dtype=np.intp), 2),
-        planes=(plane,), off_current=dev.i_on_mean * dev.i_off_ratio,
-        i_on_mean=dev.i_on_mean, scale=1.0,
-        tile_rows=tile_rows, tile_cols=tile_cols)
+    return _program_ternary(vals.shape, rows, cols, vals[rows, cols], dev, seed,
+                            tile_rows, tile_cols)
 
 
 def vmv(stack: CrossbarStack, x_h, x_v, adc: AdcParams = AdcParams()) -> tuple[float, dict]:
@@ -531,6 +540,12 @@ class HwOracle:
         return counts, col_counts, col_counts.take(active, axis=1).sum(axis=1)
 
     def _energy(self, bits, total) -> float:
+        """Energy of state ``bits`` from its per-plane count ``total``.
+
+        Summed as ``(bilinear + linear) + constant``, not in the exact
+        kernel's order (constant first): float addition does not associate,
+        and the pinned hw golden outputs were produced in this order.
+        """
         bilinear = self.stack.scale * float(self._weights @ total)
         return float(bilinear + bits.astype(np.float64) @ self._linear + self._constant)
 
@@ -776,7 +791,8 @@ def make_hw_oracle(compressed: CompressedQubo, *, bits: int = 5, ternary: bool =
     the minimum that makes noiseless readout exact.
     """
     if ternary:
-        stack = program_ternary(compressed.qprime, dev, seed, tile_rows, tile_cols)
+        stack = _program_ternary(compressed.shape, compressed.rows, compressed.cols,
+                                 compressed.values, dev, seed, tile_rows, tile_cols)
     else:
         stack = program(quantize(compressed, bits), dev, seed, tile_rows, tile_cols)
     if adc is None:

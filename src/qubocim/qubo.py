@@ -215,16 +215,23 @@ class IsingModel(_QuadraticForm):
         return pair_mapping(*self._terms)
 
 
-def _pair_sum(x: np.ndarray, terms) -> float:
-    """``sum_k values[k] * x[rows[k]] * x[cols[k]]`` over term columns."""
-    rows, cols, values = terms
-    return float((x[rows] * x[cols]) @ values) if len(values) else 0.0
+def _exact_energy(x: np.ndarray, vector, constant: float, rows, cols, values):
+    """``(constant + x @ vector) + (x[..., rows] * x[..., cols]) @ values``.
+
+    The exact energy of one float64 assignment ``x``, or of each row of a
+    matrix of them, over a vector term and ``(rows, cols, values)`` term
+    columns.  Every exact energy function calls it, so all of them sum in
+    this order and agree bit for bit.
+    """
+    # ``take`` on the last axis, not ``x[..., rows]``: the same array, but
+    # indexing with an ellipsis costs an exact oracle call about 5 us more.
+    return constant + x @ vector + (x.take(rows, axis=-1) * x.take(cols, axis=-1)) @ values
 
 
 def energy(q: QuboProblem, x) -> float:
     """Exact QUBO energy of a binary assignment."""
     bits = as_bits(x, q.n).astype(np.float64)
-    return q.constant + float(bits @ q.linear) + _pair_sum(bits, q.term_arrays())
+    return float(_exact_energy(bits, q.linear, q.constant, *q.term_arrays()))
 
 
 def energy_batch(q: QuboProblem, X: np.ndarray) -> np.ndarray:
@@ -232,11 +239,7 @@ def energy_batch(q: QuboProblem, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != q.n:
         raise DimensionError(f"expected shape (m, {q.n}), got {X.shape}")
-    rows, cols, vals = q.term_arrays()
-    out = X @ q.linear + q.constant
-    if len(vals):
-        out = out + (X[:, rows] * X[:, cols]) @ vals
-    return out
+    return _exact_energy(X, q.linear, q.constant, *q.term_arrays())
 
 
 def ising_energy(m: IsingModel, spins) -> float:
@@ -246,7 +249,7 @@ def ising_energy(m: IsingModel, spins) -> float:
         raise DimensionError(f"expected a spin vector of length {m.n}, got shape {s.shape}")
     if np.any(np.abs(s) != 1):
         raise ValueError("spin entries must be -1 or +1")
-    return m.constant + float(s @ m.fields) + _pair_sum(s, m.term_arrays())
+    return float(_exact_energy(s, m.fields, m.constant, *m.term_arrays()))
 
 
 def _per_term(vector, constant: float, terms, vector_step, constant_step) -> tuple[np.ndarray, float]:
@@ -546,10 +549,8 @@ class ExactOracle:
         bits = np.asarray(x, dtype=np.float64)
         if bits.shape != (self.n,):
             raise DimensionError(f"expected length {self.n}, got shape {bits.shape}")
-        total = self._constant + float(bits @ self._linear)
-        if len(self._vals):
-            total += float((bits[self._rows] * bits[self._cols]) @ self._vals)
-        return total
+        return float(_exact_energy(bits, self._linear, self._constant,
+                                   self._rows, self._cols, self._vals))
 
     def evaluator(self) -> "ExactEvaluator":
         return ExactEvaluator(self)

@@ -331,11 +331,13 @@ class TestExitCodes:
         ("2 1\n1 2 1e308\n", ["solve", "{file}", "--kind", "maxcut"], 3),
         ("cqubo 2 0 0\nc 1.5\nl 0 1e308\nl 1 1e308\nrows\ncols\n",
          ["solve", "{file}", "--kind", "cqubo"], 3),
+        ("cqubo 4 2 3\nrows 0 2\ncols 1 1 3\nm 1 2 0\nm 0 3 1\n",
+         ["solve", "{file}", "--kind", "cqubo", "--oracle", "hw"], 3),
     ], ids=["qubo-index", "qubo-nan", "gset-self-loop", "dimacs-self-loop", "cqubo-row",
             "colors-0", "penalty-negative", "pfp-bit-lengths", "reduction-penalty-negative",
             "sweep-value", "gset-nan-weight", "gset-negative-vertices", "gset-zero-vertices",
             "dimacs-negative-vertices", "qubo-repeated-q", "maxcut-coefficient-overflow",
-            "cqubo-energy-overflow"])
+            "cqubo-energy-overflow", "cqubo-repeated-column"])
     def test_bad_input_exits_without_traceback(self, tmp_path, capsys, text, argv, code):
         src = tmp_path / "input"
         src.write_text(text)

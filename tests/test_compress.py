@@ -7,7 +7,7 @@ import pytest
 
 from qubocim.compress import (CompressedQubo, compress, compressed_energy,
                               decompress, from_text, split_signs, to_text)
-from qubocim.convert import Graph, maxcut_to_qubo
+from qubocim.convert import Graph, coloring_to_qubo, maxcut_to_qubo
 from qubocim.crossbar import make_hw_oracle
 from qubocim.errors import DimensionError, ParseError
 from qubocim.qubo import QuboProblem, energy, energy_batch
@@ -222,6 +222,13 @@ class TestDecompress:
         with pytest.raises(DimensionError):
             CompressedQubo((0, 3), (1,), [[1.0], [2.0]], np.zeros(3), 0.0, 3)
 
+    @pytest.mark.parametrize("row_vars, col_vars", [((0, 2), (1, 1, 3)), ((2, 2), (0, 1, 3))])
+    def test_repeated_variable_rejected(self, row_vars, col_vars):
+        # The hw delta evaluator reads a variable through one column, so a
+        # repeated column variable lost the other columns' counts.
+        with pytest.raises(DimensionError, match="repeats"):
+            CompressedQubo(row_vars, col_vars, [[1, 2, 0], [0, 3, 1]], np.zeros(4), 0.0, 4)
+
 
 class TestQprimeOwnership:
     def test_caller_array_is_copied(self):
@@ -282,6 +289,30 @@ class TestQprimeOwnership:
             base = tracemalloc.get_traced_memory()[0]
             c, _ = compress(q)
             make_hw_oracle(c, bits=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        p, qn = c.shape
+        assert p * qn > 500_000
+        assert peak < 0.25 * p * qn * 8
+
+    def test_ternary_hw_path_builds_no_dense_qprime(self):
+        """The ternary encoding programs from the coordinates of Q', so
+        compress plus make_hw_oracle(ternary=True) stay far below one dense
+        p x q float64 too."""
+        rng = np.random.default_rng(3)
+        n = 600
+        pairs = {(int(min(u, v)), int(max(u, v)))
+                 for u, v in rng.integers(0, n, size=(1900, 2)) if u != v}
+        q, _ = coloring_to_qubo(Graph.from_edges(n, sorted(pairs)[:1800]), 3, 0.5)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            c, _ = compress(q)
+            make_hw_oracle(c, ternary=True)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
