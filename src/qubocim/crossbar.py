@@ -30,7 +30,7 @@ import numpy as np
 
 from .compress import CompressedQubo
 from .errors import ConfigError, DimensionError, EncodingError
-from .qubo import FullEvaluator, as_bits, toggle
+from .qubo import as_bits, toggle
 
 
 # Widest code, quantizer or ADC.  Every level is an exact float64 integer up to
@@ -46,19 +46,21 @@ def _check_bits(bits: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Cell current statistics in units normalized to the nominal ON current."""
+    """Cell current statistics, in units of the nominal ON current.
 
-    i_on_mean: float = 1.0
+    A nominal ON cell carries current 1.  ``i_on_rel_sigma`` is the spread of
+    an ON cell's current, ``die_offset_sigma`` the spread of a tile's
+    relative offset and ``i_off_ratio`` the OFF leakage.
+    """
+
     i_on_rel_sigma: float = 0.05
     i_off_ratio: float = 1e-3
     die_offset_sigma: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.i_on_mean, self.i_on_rel_sigma, self.i_off_ratio,
+        if not all(map(math.isfinite, (self.i_on_rel_sigma, self.i_off_ratio,
                                        self.die_offset_sigma))):
             raise ConfigError("device parameters must be finite")
-        if self.i_on_mean <= 0:
-            raise ConfigError("i_on_mean must be positive")
         if self.i_on_rel_sigma < 0 or self.die_offset_sigma < 0:
             raise ConfigError("current spreads must be >= 0")
         if not 0 <= self.i_off_ratio < 1:
@@ -84,23 +86,21 @@ class AdcParams:
         if self.full_scale is not None and not 0 < self.full_scale < math.inf:
             raise ConfigError("full_scale must be positive and finite")
 
-    def full_scale_for(self, rows: int, i_on_mean: float) -> float:
+    def full_scale_for(self, rows: int) -> float:
         """Full-scale current of a tile band with ``rows`` physical rows."""
-        return self.full_scale if self.full_scale is not None else i_on_mean * rows
+        return self.full_scale if self.full_scale is not None else float(rows)
 
-    def read(self, currents: np.ndarray, full_scale: float,
-             i_on_mean: float) -> tuple[np.ndarray, np.ndarray]:
+    def read(self, currents: np.ndarray, full_scale: float) -> tuple[np.ndarray, np.ndarray]:
         """Column currents to (ADC codes, cell counts), elementwise.
 
         A current is clamped to ``[0, full_scale]``, rounded to one of
         ``2**bits - 1`` uniform steps, and the code is scaled back to the
         nearest integer cell count.  Without quantization (``bits=None``)
-        codes and counts are both the current in units of ``i_on_mean``.
+        codes and counts are both ``currents`` itself, on the stack's grid.
         ``currents`` may have any shape; it is not modified.
         """
         if self.bits is None:
-            counts = currents / i_on_mean
-            return counts, counts
+            return currents, currents
         levels = (1 << self.bits) - 1
         codes = currents / full_scale
         codes *= levels
@@ -108,7 +108,7 @@ class AdcParams:
         np.maximum(codes, 0, out=codes)  # unlike np.clip, turns -0.0 into 0.0
         np.minimum(codes, levels, out=codes)
         counts = codes * full_scale
-        counts /= levels * i_on_mean
+        counts /= levels
         return codes, np.rint(counts, out=counts)
 
 
@@ -181,11 +181,12 @@ class Plane:
     """One physical bit plane, stored as its ON cells only.
 
     ``rows`` and ``cols`` are the row-major sorted coordinates of the ON
-    cells and ``currents`` their ON currents, sampled at programming time;
-    every other cell leaks ``off_current``.  Memory is per ON cell.  The
-    dense ``states``, ``on_current`` (0.0 at OFF cells) and ``cell_current``
-    (the effective readout current of every cell) are built on demand, for
-    reference readout and small arrays.
+    cells and ``currents`` their ON currents, sampled at programming time
+    and rounded to the stack's grid; every other cell leaks
+    ``off_current``.  Memory is per ON cell.  The dense ``states``,
+    ``on_current`` (0.0 at OFF cells) and ``cell_current`` (the effective
+    readout current of every cell) are built on demand, for reference
+    readout and small arrays.
     """
 
     sign: int
@@ -218,6 +219,7 @@ class CrossbarStack:
     ``tile_rows x tile_cols`` blocks, each with its own column ADC; splitting
     across tiles is transparent in the noiseless model.  Each plane holds its
     ON cells only, so the stack's memory follows the nonzeros of ``Q'``.
+    Every cell current is a multiple of ``2**-grid`` (see :func:`_stack`).
     """
 
     n_rows: int
@@ -225,7 +227,7 @@ class CrossbarStack:
     row_map: np.ndarray
     planes: tuple[Plane, ...]
     off_current: float
-    i_on_mean: float
+    grid: int
     scale: float
     tile_rows: int = 32
     tile_cols: int = 32
@@ -254,40 +256,30 @@ class CrossbarStack:
 def _sample_on_currents(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
                         dev: DeviceParams, rng: np.random.Generator,
                         tile_rows: int, tile_cols: int) -> np.ndarray:
-    """ON currents of the cells at row-major sorted ``(rows, cols)``.
+    """ON currents of the cells at row-major sorted ``(rows, cols)``, off the grid.
 
     The stream: one die offset per tile position of ``shape`` in row-major
     tile order (when ``die_offset_sigma > 0``), then one standard normal
     ``z`` per ON cell in order (when the cell spread is positive), cells with
     ``|z| > 4`` redrawn in index order until none is left.  A cell's current
-    is ``i_on_mean * (1 + offset[tile]) + sigma * z`` with ``sigma =
-    i_on_mean * i_on_rel_sigma``.  Cost O(ON cells + tiles); nothing is
-    drawn at zero spread and zero die offset.
+    is ``1 + offset[tile] + i_on_rel_sigma * z``.  Cost O(ON cells + tiles);
+    nothing is drawn at zero spread and zero die offset.
     """
-    mean = np.full(len(rows), dev.i_on_mean)
+    currents = np.ones(len(rows))
     if dev.die_offset_sigma > 0:
         col_tiles = -(-shape[1] // tile_cols)
         offsets = rng.normal(0.0, dev.die_offset_sigma,
                              size=-(-shape[0] // tile_rows) * col_tiles)
-        mean *= 1.0 + offsets[rows // tile_rows * col_tiles + cols // tile_cols]
-    sigma = dev.i_on_mean * dev.i_on_rel_sigma
-    if sigma == 0:
-        return mean
+        currents += offsets[rows // tile_rows * col_tiles + cols // tile_cols]
+    if dev.i_on_rel_sigma == 0:
+        return currents
     z = rng.standard_normal(len(rows))
     bad = np.flatnonzero(np.abs(z) > 4.0)
     while bad.size:
         z[bad] = rng.standard_normal(bad.size)
         bad = bad[np.abs(z[bad]) > 4.0]
-    return mean + sigma * z
-
-
-def _plane(sign: int, weight: float, rows: np.ndarray, cols: np.ndarray,
-           shape: tuple[int, int], dev: DeviceParams, rng: np.random.Generator,
-           tile_rows: int, tile_cols: int) -> Plane:
-    currents = _sample_on_currents(rows, cols, shape, dev, rng, tile_rows, tile_cols)
-    for arr in (rows, cols, currents):
-        arr.flags.writeable = False
-    return Plane(sign, weight, shape, rows, cols, currents, dev.i_on_mean * dev.i_off_ratio)
+    currents += dev.i_on_rel_sigma * z
+    return currents
 
 
 def _stack(layout, shape: tuple[int, int], cells: int, scale: float, dev: DeviceParams,
@@ -295,16 +287,38 @@ def _stack(layout, shape: tuple[int, int], cells: int, scale: float, dev: Device
     """The stack of a logical ``shape`` matrix stored on ``cells`` physical
     rows per logical row: the tile sizes are checked, then one plane is
     programmed per ``(sign, weight, rows, cols)`` of ``layout``, in order,
-    from one stream seeded by ``seed``."""
+    from one stream seeded by ``seed``.
+
+    Every ON current and the OFF leakage are then rounded, in place, to the
+    nearest multiple of ``2**-grid``, ``grid = 50 - e``, where ``2**e`` is
+    the smallest power of two above the largest per-plane sum of ``|cell
+    current|``, ON and OFF cells.  Rounding adds at most half a step per
+    cell, and a sum the readout or the evaluator forms adds at most four
+    plane sums, so it stays below ``2**53`` grid steps and is exact in
+    float64, in any order and on any BLAS.
+    """
     if tile_rows < 1 or tile_cols < 1:
         raise ConfigError(f"tile sizes must be >= 1, got {tile_rows} x {tile_cols}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     p, q = shape
-    planes = tuple(_plane(sign, weight, rows, cols, (cells * p, q), dev, rng, tile_rows, tile_cols)
-                   for sign, weight, rows, cols in layout)
+    phys = (cells * p, q)
+    currents = [_sample_on_currents(rows, cols, phys, dev, rng, tile_rows, tile_cols)
+                for _, _, rows, cols in layout]
+    peak = max(float(np.abs(c).sum()) + dev.i_off_ratio * (phys[0] * q - c.size)
+               for c in currents)
+    grid = 50 - math.frexp(peak)[1]
+    for c in currents:
+        np.rint(np.ldexp(c, grid, out=c), out=c)
+        np.ldexp(c, -grid, out=c)
+    off_current = math.ldexp(round(math.ldexp(dev.i_off_ratio, grid)), -grid)
+    planes = []
+    for (sign, weight, rows, cols), c in zip(layout, currents):
+        for arr in (rows, cols, c):
+            arr.flags.writeable = False
+        planes.append(Plane(sign, weight, phys, rows, cols, c, off_current))
     return CrossbarStack(
         n_rows=p, n_cols=q, row_map=np.repeat(np.arange(p, dtype=np.intp), cells),
-        planes=planes, off_current=dev.i_on_mean * dev.i_off_ratio, i_on_mean=dev.i_on_mean,
+        planes=tuple(planes), off_current=off_current, grid=grid,
         scale=scale, tile_rows=tile_rows, tile_cols=tile_cols)
 
 
@@ -392,8 +406,7 @@ def vmv(stack: CrossbarStack, x_h, x_v, adc: AdcParams = AdcParams()) -> tuple[f
                 currents = act.astype(np.float64) @ cell_current[r0:r1][:, active_cols]
             else:
                 currents = np.zeros(0)
-            full_scale = adc.full_scale_for(r1 - r0, stack.i_on_mean)
-            codes, counts = adc.read(currents, full_scale, stack.i_on_mean)
+            codes, counts = adc.read(currents, adc.full_scale_for(r1 - r0))
             plane_sum += float(counts.sum())
             plane_currents.append(currents)
             plane_codes.append(codes)
@@ -445,11 +458,11 @@ class HwOracle:
     dropped only when the band's worst-case leakage, all rows active, reads
     as count 0, so it would read 0 in every state.  Otherwise (an ideal or
     a fine ADC, heavy leakage) every entry is live and the matrix is the
-    band's planes side by side.  ADC counts equal those of :func:`vmv` on
-    the same stack.  The currents may differ from it in the last bit,
-    because the matvec sums a column at another position; that moves a
-    count only at an exact rounding boundary.  :meth:`evaluator` gives the
-    solver delta evaluation that reproduces ``__call__`` bit for bit.
+    band's planes side by side.  Cell currents lie on the stack's grid, so
+    a band read is exact in any summation order: its currents, and so its
+    ADC counts, equal those of :func:`vmv` on the same stack bit for bit.
+    :meth:`evaluator` gives the solver delta evaluation that reproduces
+    ``__call__`` bit for bit.
     """
 
     def __init__(self, compressed: CompressedQubo, stack: CrossbarStack, adc: AdcParams):
@@ -473,9 +486,9 @@ class HwOracle:
         on_currents = np.concatenate([p.currents for p in stack.planes])[by_row]
         self._bands = []
         for r0, r1 in stack.bands():
-            full_scale = adc.full_scale_for(r1 - r0, stack.i_on_mean)
+            full_scale = adc.full_scale_for(r1 - r0)
             leak = np.array([(r1 - r0) * stack.off_current])  # all rows active
-            leak_reads = adc.read(leak, full_scale, stack.i_on_mean)[1][0] != 0
+            leak_reads = adc.read(leak, full_scale)[1][0] != 0
             a, b = np.searchsorted(rows, (r0, r1))
             is_live = np.full(len(stack.planes) * stack.n_cols, leak_reads)
             is_live[keys[a:b]] = True
@@ -502,8 +515,8 @@ class HwOracle:
         """Energy value of one ADC code step on a unit-weight plane (0 if ideal)."""
         if self.adc.bits is None:
             return 0.0
-        full_scale = self.adc.full_scale_for(self.stack.band_rows, self.stack.i_on_mean)
-        return self.stack.scale * full_scale / (((1 << self.adc.bits) - 1) * self.stack.i_on_mean)
+        full_scale = self.adc.full_scale_for(self.stack.band_rows)
+        return self.stack.scale * full_scale / ((1 << self.adc.bits) - 1)
 
     def _bits(self, x) -> np.ndarray:
         bits = np.asarray(x, dtype=np.int8)
@@ -517,16 +530,16 @@ class HwOracle:
         ``act_rows`` holds the row activations (0.0 or 1.0) of that band,
         one state as a vector or one state per row of a matrix.
         """
-        return self.adc.read(act_rows @ band.currents, band.full_scale, self.stack.i_on_mean)[1]
+        return self.adc.read(act_rows @ band.currents, band.full_scale)[1]
 
     def _read(self, bits) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
         """Read every band for state ``bits``, every column active.
 
         Returns the live counts of each band, their (planes, columns) sums
         over the bands (one scatter-add per band; dead entries read 0) and
-        the per-plane totals over the active columns.  Counts are summed per
-        column over the bands first, which is exact for a quantizing ADC and
-        fixes the rounding order of an ideal one.
+        the per-plane totals over the active columns.  Counts are integers,
+        or grid currents under an ideal ADC, so every one of these sums is
+        exact.
         """
         act_rows = bits[self._phys_rows].astype(np.float64)
         col_counts = np.zeros((len(self._weights), self.stack.n_cols))
@@ -554,13 +567,9 @@ class HwOracle:
         return self._energy(bits, self._read(bits)[2])
 
     def evaluator(self):
-        """Per-run evaluator for the solver (see :class:`qubocim.qubo.FullEvaluator`).
-
-        A quantizing ADC gets a :class:`HwEvaluator` at any band count.  Delta
-        evaluation needs integer counts, so an ideal ADC (``bits=None``),
-        whose counts are floats, evaluates in full.
-        """
-        return FullEvaluator(self) if self.adc.bits is None else HwEvaluator(self)
+        """Per-run evaluator for the solver: a :class:`HwEvaluator`, for any
+        ADC and any number of tile bands."""
+        return HwEvaluator(self)
 
 
 class _Moves(NamedTuple):
@@ -573,9 +582,9 @@ class _Moves(NamedTuple):
 
 
 class HwEvaluator:
-    """Delta evaluation of a :class:`HwOracle` with a quantizing ADC.
+    """Delta evaluation of a :class:`HwOracle`.
 
-    The integer counts of every band's live entries are cached, all columns
+    The counts of every band's live entries are cached, all columns
     included, together with their per-(plane, column) sums over the bands,
     as :meth:`HwOracle._read` returns them.  Every move is evaluated by one
     read, :meth:`_reread`: a band that holds a flipped row variable is read
@@ -585,7 +594,8 @@ class HwEvaluator:
     base totals, plus or minus the base column sums of its flipped column
     variables (plus where it turns one on), plus those sums over its
     re-read bands; its energy is ``HwOracle._energy`` of them.  Counts are
-    integers, so every sum is exact whatever its order and each energy
+    integers, or grid currents under an ideal ADC, and band reads are exact
+    on the grid, so every sum is exact whatever its order and each energy
     equals ``oracle(y)`` bit for bit.  A peek is one such move; a commit
     applies the peeked bands' count changes to the column sums in place.
 
@@ -598,11 +608,10 @@ class HwEvaluator:
     ``k = max(2, products + ceil(reads / (w * MOVE_PEEK_READS)))`` for a
     table of ``products`` band products over ``reads`` live entries: a
     dearer table waits for more evidence that the state is stuck.  Later
-    width-w peeks at that state read their totals from the table.  The
-    batched product and the single one are not one BLAS call, so their count
-    equality is tested, not proved, as for :meth:`flip_deltas`.  A commit of
-    a move served from a table reads its bands the ordinary way first; a
-    reset or a commit drops the tables.
+    width-w peeks at that state read their totals from the table, which
+    equal the totals of single peeks bit for bit.  A commit of a move
+    served from a table reads its bands the ordinary way first; a reset or
+    a commit drops the tables.
     """
 
     def __init__(self, oracle: HwOracle):
@@ -734,11 +743,12 @@ class HwEvaluator:
         its own base state, evaluated as :meth:`peek` evaluates one: the
         bands its flipped variable drives as a row variable go through
         :meth:`_reread` for those states only, and the base's counts in its
-        flipped column, gathered band by band, give the column term.  Counts
-        are integers, so every sum is exact in any order, and every energy
-        goes through :meth:`HwOracle._energy`: each delta equals
-        ``peek([i]) - reset(x)`` bit for bit.  The evaluator's own state is
-        left as it was.
+        flipped column, gathered band by band, give the column term.  On the
+        grid the batched product reads the currents of a single one, and
+        counts are integers or grid currents, so every sum is exact in any
+        order; every energy goes through :meth:`HwOracle._energy`.  So each
+        delta equals ``peek([i]) - reset(x)`` bit for bit.  The evaluator's
+        own state is left as it was.
         """
         o = self._oracle
         base = np.asarray(states, dtype=np.int8)

@@ -1,5 +1,6 @@
 """Tests for the behavioral crossbar simulator."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -84,7 +85,7 @@ class TestQuantize:
         with pytest.raises(ConfigError):
             program(replace(qq, bits=MAX_BITS + 1), IDEAL, seed=0)
         levels = np.array([float(2 ** MAX_BITS - 1)])
-        assert AdcParams(bits=MAX_BITS).read(levels, levels[0], 1.0)[1].tolist() == levels.tolist()
+        assert AdcParams(bits=MAX_BITS).read(levels, levels[0])[1].tolist() == levels.tolist()
 
     def test_ternary_matrix_two_bit_scale(self):
         # a {0,1,2} matrix quantized at 2 bits gets scale 2/3 and rounding
@@ -102,11 +103,9 @@ class TestProgram:
         lambda: DeviceParams(i_on_rel_sigma=float("nan")),
         lambda: DeviceParams(i_on_rel_sigma=float("inf")),
         lambda: DeviceParams(die_offset_sigma=float("nan")),
-        lambda: DeviceParams(i_on_mean=float("inf")),
         lambda: AdcParams(full_scale=float("inf")),
         lambda: AdcParams(full_scale=float("nan")),
-    ], ids=["sigma-nan", "sigma-inf", "die-sigma-nan", "on-mean-inf", "full-scale-inf",
-            "full-scale-nan"])
+    ], ids=["sigma-nan", "sigma-inf", "die-sigma-nan", "full-scale-inf", "full-scale-nan"])
     def test_non_finite_params_rejected(self, make):
         with pytest.raises(ConfigError, match="finite"):
             make()
@@ -171,9 +170,8 @@ class TestTernary:
 
 
 class TestAdcRead:
-    @pytest.mark.parametrize("bits, full_scale, i_on_mean", [(1, 2.0, 1.0), (3, 7.0, 1.0),
-                                                            (3, 5.5, 0.9), (5, 23.0, 1.0)])
-    def test_equals_the_clip_expression(self, bits, full_scale, i_on_mean):
+    @pytest.mark.parametrize("bits, full_scale", [(1, 2.0), (3, 7.0), (3, 5.5), (5, 23.0)])
+    def test_equals_the_clip_expression(self, bits, full_scale):
         """Counts and codes equal, as values, those of ``np.clip`` on the rounded
         codes, for currents below 0, above full scale and at exact half steps."""
         levels = (1 << bits) - 1
@@ -184,13 +182,13 @@ class TestAdcRead:
         currents = np.array(halves + [-1.0, -step / 2, -1e-300, 0.0, step, full_scale,
                                       full_scale + step / 3, 2 * full_scale, 1e6])
         old_codes = np.clip(np.rint(currents / full_scale * levels), 0, levels)
-        old_counts = np.rint(old_codes * full_scale / (levels * i_on_mean))
+        old_counts = np.rint(old_codes * full_scale / levels)
         before = currents.copy()
         adc = AdcParams(bits=bits)
-        codes, counts = adc.read(currents, full_scale, i_on_mean)
+        codes, counts = adc.read(currents, full_scale)
         assert np.array_equal(codes, old_codes) and np.array_equal(counts, old_counts)
         assert not np.signbit(counts).any()  # np.clip keeps -0.0, the read does not
-        batch = adc.read(np.stack([currents, currents[::-1]]), full_scale, i_on_mean)[1]
+        batch = adc.read(np.stack([currents, currents[::-1]]), full_scale)[1]
         assert np.array_equal(batch, np.stack([old_counts, old_counts[::-1]]))
         assert np.array_equal(currents, before)  # the input is left as it was
 
@@ -378,8 +376,21 @@ def reference_on_currents(states, dev, rng, tile_rows, tile_cols):
     currents = np.full(states.shape, np.nan)
     for (r, c), v in zip(cells, z):
         tile = (r - r % tile_rows, c - c % tile_cols)
-        currents[r, c] = dev.i_on_mean * (1.0 + offset[tile]) + dev.i_on_mean * dev.i_on_rel_sigma * v
+        currents[r, c] = 1.0 + offset[tile] + dev.i_on_rel_sigma * v
     return currents
+
+
+def on_grid(stack, planes, dev):
+    """The reference ON currents ``planes`` (one dense array per plane, NaN at
+    OFF cells) rounded by the grid rule: to multiples of ``2**-g``,
+    ``g = 50 - e``, with ``2**e`` the smallest power of two above the largest
+    per-plane sum of |cell current|.  Checks the stack's grid and OFF current
+    against the rule."""
+    peak = max(np.nansum(np.abs(on)) + dev.i_off_ratio * np.isnan(on).sum() for on in planes)
+    grid = 50 - math.frexp(peak)[1]
+    step = 2.0 ** grid
+    assert stack.grid == grid and stack.off_current == np.rint(dev.i_off_ratio * step) / step
+    return [np.rint(on * step) / step for on in planes]
 
 
 def dense_tile_counts(stack):
@@ -418,7 +429,8 @@ class TestOnCellStack:
                 states = (codes >> m) & 1 == 1
                 expected.append((sign, states, reference_on_currents(states, DIE, rng, 4, 5)))
         assert len(stack.planes) == len(expected)
-        for plane, (sign, states, on) in zip(stack.planes, expected):
+        rounded = on_grid(stack, [on for _, _, on in expected], DIE)
+        for plane, (sign, states, _), on in zip(stack.planes, expected, rounded):
             assert plane.sign == sign
             assert np.array_equal(plane.states, states)
             assert np.array_equal(plane.on_current, np.where(states, on, 0.0))
@@ -431,7 +443,7 @@ class TestOnCellStack:
         states[0::2] = values >= 1
         states[1::2] = values == 2
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4)))
-        on = reference_on_currents(states, DIE, rng, 4, 5)
+        (on,) = on_grid(stack, [reference_on_currents(states, DIE, rng, 4, 5)], DIE)
         (plane,) = stack.planes
         assert np.array_equal(plane.states, states)
         assert np.array_equal(plane.on_current, np.where(states, on, 0.0))
@@ -446,7 +458,8 @@ class TestOnCellStack:
         assert np.count_nonzero(np.abs(rng.standard_normal(states.size)) > 4.0) >= 2
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2)))
         on = reference_on_currents(states, DIE, rng, 32, 32)
-        assert np.array_equal(stack.planes[0].on_current, on)
+        no_minus = np.full(states.shape, np.nan)   # the minus plane holds OFF cells only
+        assert np.array_equal(stack.planes[0].on_current, on_grid(stack, [on, no_minus], DIE)[0])
 
     def test_die_offset_alone_is_one_current_per_tile(self):
         dev = DeviceParams(i_on_rel_sigma=0.0, die_offset_sigma=0.05)

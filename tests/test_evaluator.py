@@ -21,7 +21,7 @@ from qubocim import crossbar
 from qubocim.crossbar import (BATCH_STATES, MOVE_TABLE_MAX, AdcParams, DeviceParams, HwEvaluator,
                               make_hw_oracle, vmv)
 from qubocim.errors import DimensionError
-from qubocim.qubo import ExactEvaluator, FullEvaluator, QuboProblem, exact_oracle
+from qubocim.qubo import ExactEvaluator, QuboProblem, exact_oracle
 
 NOISY = DeviceParams(i_on_rel_sigma=0.1, die_offset_sigma=0.05)
 
@@ -91,15 +91,15 @@ class TestHwEvaluator:
         for got, want in walk(oracle, q.n, 4):
             assert got == want
 
-    def test_ideal_adc_evaluates_in_full_and_single_band_by_delta(self):
+    def test_ideal_adc_and_single_band_evaluate_by_delta(self):
         q = random_maxcut(40, 150, 6)
         c, _ = compress(q)
         ideal = make_hw_oracle(c, bits=3, dev=NOISY, seed=6, tile_rows=4,
                                adc=AdcParams(bits=None))
         single = make_hw_oracle(c, bits=3, dev=NOISY, seed=6, tile_rows=64)
         assert len(single._bands) == 1
-        for oracle, kind in ((ideal, FullEvaluator), (single, HwEvaluator)):
-            assert isinstance(oracle.evaluator(), kind)
+        for oracle in (ideal, single):
+            assert isinstance(oracle.evaluator(), HwEvaluator)
             for got, want in walk(oracle, q.n, 6):
                 assert got == want
 
@@ -179,7 +179,6 @@ class TestFlipDeltas:
     def test_kinds(self):
         cases = dict(batch_cases())
         assert len(cases["noisy-multi-band"]._bands) > 1
-        assert type(cases.pop("ideal-adc").evaluator()) is FullEvaluator
         assert {type(oracle.evaluator()) for oracle in cases.values()} == {HwEvaluator}
 
     def test_state_is_kept_and_shape_checked(self):
@@ -404,7 +403,7 @@ class TestLiveEntries:
         assert len(oracle._bands) > 1
         for band in oracle._bands:
             leak = np.array([(band.r1 - band.r0) * stack.off_current])
-            assert adc.read(leak, band.full_scale, stack.i_on_mean)[1][0] > 0
+            assert adc.read(leak, band.full_scale)[1][0] > 0
             assert np.array_equal(band.entries, all_entries(oracle))
             dense = np.concatenate([p.cell_current[band.r0:band.r1] for p in stack.planes], axis=1)
             assert np.array_equal(band.currents, dense)

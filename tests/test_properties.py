@@ -13,6 +13,11 @@
   >= ceil(log2 rows) + 1, the crossbar oracle's energy is the exact energy
   of the dequantized matrix, for any shape, precision and tiling, on the
   bit-sliced and the ternary encoding.
+* Cell currents lie on a dyadic grid: every ON current and the OFF current
+  of a stack are multiples of its ``2**-grid``, four plane sums of them stay
+  below ``2**53`` grid steps, and a band's batched read for many states
+  equals its per-state reads and its row-by-row sums in reverse row order,
+  bit for bit, under any spread, die offset, leakage and tiling.
 * The term arrays of a problem are the terms a dict would merge, exactly:
   mirrors and repeats summed in input order, exact cancellations dropped,
   and diagonal, out-of-range and non-finite terms rejected.
@@ -31,6 +36,7 @@
 """
 
 import io
+import math
 import os
 
 import numpy as np
@@ -228,6 +234,51 @@ def test_noiseless_readout_is_exact(case):
         # The dequantized energy, with the integer code sum scaled once.
         expected = scale * float(x[:p] @ codes @ x[p:]) + x @ compressed.linear
         assert oracle(x) == expected + compressed.constant
+
+
+@st.composite
+def grid_oracles(draw):
+    """An ideal-ADC oracle, so every (plane, column) entry of a band is live,
+    over a random matrix on the bit-sliced or the ternary encoding, with a
+    random ON spread, die offset, leakage and tiling."""
+    ternary = draw(st.booleans())
+    p, q = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 3, size=(p, q)) if ternary else rng.integers(-40, 41, size=(p, q))
+    matrix = np.where(rng.random((p, q)) < draw(st.floats(0, 1)), values, 0).astype(np.float64)
+    n = p + q
+    compressed = CompressedQubo(tuple(range(p)), tuple(range(p, n)), matrix, np.zeros(n), 0.0, n)
+    spread = st.one_of(st.just(0.0), st.floats(0, 2))
+    dev = DeviceParams(i_on_rel_sigma=draw(spread), die_offset_sigma=draw(spread),
+                       i_off_ratio=draw(st.one_of(st.just(0.0), st.floats(0, 0.99))))
+    return make_hw_oracle(compressed, bits=draw(st.integers(1, 6)), ternary=ternary, dev=dev,
+                          adc=AdcParams(bits=None), seed=draw(st.integers(0, 2**16)),
+                          tile_rows=draw(st.integers(1, 40)), tile_cols=draw(st.integers(1, 40)))
+
+
+@bounded(80)
+@given(oracle=grid_oracles(), seed=st.integers(0, 2**32 - 1))
+def test_band_reads_are_exact_on_the_grid(oracle, seed):
+    stack = oracle.stack
+    cells = len(stack.row_map) * stack.n_cols
+    for plane in stack.planes:
+        steps = np.ldexp(plane.currents, stack.grid)  # in grid steps
+        assert np.array_equal(np.rint(steps), steps)
+        plane_sum = np.abs(steps).sum() + math.ldexp(stack.off_current, stack.grid) * (
+            cells - plane.currents.size)
+        assert 4 * plane_sum < 2.0 ** 53
+    assert math.ldexp(stack.off_current, stack.grid).is_integer()
+    rng = np.random.default_rng(seed)
+    for band in oracle._bands:
+        rows = band.r1 - band.r0
+        act = rng.integers(0, 2, size=(BATCH_STATES, rows)).astype(np.float64)
+        act[0] = 1.0  # every row active: the largest sum
+        batched = act @ band.currents
+        assert np.array_equal(batched, np.array([a @ band.currents for a in act]))
+        reversed_order = np.zeros_like(batched)
+        for r in reversed(range(rows)):
+            reversed_order += act[:, r:r + 1] * band.currents[r]
+        assert np.array_equal(batched, reversed_order)
 
 
 def dict_merge(terms) -> dict:

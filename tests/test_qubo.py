@@ -159,7 +159,13 @@ class TestBruteForce:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             brute_force_minimize(QuboProblem(25, {}))
-        brute_force_minimize(QuboProblem(25, {}), cap=25)  # raised cap allows it
+        # A raised cap is honoured; the minimizers of this problem (x[0] = 1)
+        # fill the second of its two enumeration chunks.
+        q = QuboProblem(17, {}, [-1.0] + [0.0] * 16)
+        with pytest.raises(CapacityError):
+            brute_force_minimize(q, cap=16)
+        x, energy, multiplicity = brute_force_minimize(q, cap=17)
+        assert x.tolist() == [1] + [0] * 16 and energy == -1.0 and multiplicity == 1 << 16
 
     def test_self_consistency_random(self):
         rng = np.random.default_rng(9)
