@@ -73,7 +73,7 @@ def _coerce(name: str, text: str):
         raise ConfigError(f"unknown config key {name!r}")
     text = text.strip()
     hint = hints[name]
-    if text.lower() == "none":
+    if text.lower() == "none" and "None" in hint:  # elsewhere ``none`` is an ordinary value
         return None
     if "bool" in hint:
         try:

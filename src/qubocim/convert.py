@@ -300,27 +300,6 @@ def decode_coloring(enc: ColoringEncoding, x) -> ColoringReport:
 # Prime factorization
 
 
-@dataclass(frozen=True)
-class _Column:
-    """One radix-2 column equation of the multiplication table.
-
-    ``constant + sum(singles) + sum(products) + sum(carries_in)``
-    must equal ``target + sum(2^r * var for (var, r) in carries_out)``.
-    """
-
-    constant: int
-    singles: tuple[int, ...]
-    products: tuple[int, ...]
-    carries_in: tuple[int, ...]
-    carries_out: tuple[tuple[int, int], ...]
-    target: int
-
-    def lhs(self, bits) -> int:
-        """The left-hand side under the assignment ``bits``."""
-        return self.constant + sum(int(bits[v]) for v in
-                                   (*self.singles, *self.products, *self.carries_in))
-
-
 class FactorizationEncoding:
     """Variable layout for factoring odd ``N = P * Q``.
 
@@ -331,6 +310,12 @@ class FactorizationEncoding:
     multiplication: the partial products of each output bit, plus incoming
     carries, must reproduce that bit of N, with the excess carried upward in
     binary.
+
+    ``columns[c]`` is the equation of output bit c, a pair ``(b, terms)``
+    meaning ``b + sum(coef * x[var] for var, coef in terms) == 0``.  ``b`` is
+    the column's count of pinned x pinned partial products minus bit c of N.
+    A free factor bit, a product bit or an incoming carry enters with
+    coefficient +1, and the column's r-th outgoing carry with ``-2**r``.
 
     k = l = 0 is allowed (both factors fully pinned), which is what instances
     like N = 9 = 3 x 3 require.
@@ -350,55 +335,33 @@ class FactorizationEncoding:
         self.N = N
         self.k = k
         self.l = l
-
         self.p_vars = list(range(k))                       # p_1 .. p_k
         self.q_vars = list(range(k, k + l))                # q_1 .. q_l
         self.z_vars = {}                                   # (i, j) -> var, 1-based i, j
+
+        # The inputs of each output bit, LSB first; None is a pinned 1.
+        inputs: list[list] = [[] for _ in range(bitlen)]
         idx = k + l
-        for i in range(1, k + 1):
-            for j in range(1, l + 1):
-                self.z_vars[(i, j)] = idx
-                idx += 1
-
-        # Symbolic factor bits, LSB first: ('const', 1) or ('p'/'q', index).
-        p_bits = [("const", 1)] + [("p", i) for i in range(1, k + 1)] + [("const", 1)]
-        q_bits = [("const", 1)] + [("q", j) for j in range(1, l + 1)] + [("const", 1)]
-
-        pp: dict[int, dict] = {}
-        for a, pa in enumerate(p_bits):
-            for b, qb in enumerate(q_bits):
-                col = pp.setdefault(a + b, {"const": 0, "singles": [], "products": []})
-                if pa[0] == "const" and qb[0] == "const":
-                    col["const"] += 1
-                elif pa[0] == "const":
-                    col["singles"].append(self.q_vars[qb[1] - 1])
-                elif qb[0] == "const":
-                    col["singles"].append(self.p_vars[pa[1] - 1])
+        for a, pa in enumerate([None, *self.p_vars, None]):
+            for b, qb in enumerate([None, *self.q_vars, None]):
+                if pa is None or qb is None:
+                    inputs[a + b].append(qb if pa is None else pa)
                 else:
-                    col["products"].append(self.z_vars[(pa[1], qb[1])])
+                    self.z_vars[(a, b)] = idx
+                    inputs[a + b].append(idx)
+                    idx += 1
 
-        n_bits = [(N >> c) & 1 for c in range(bitlen)]
         self.carry_vars: list[int] = []
-        columns: list[_Column] = []
-        incoming: dict[int, list[int]] = {}
-        c = 0
-        while c < bitlen or incoming:
-            col = pp.get(c, {"const": 0, "singles": [], "products": []})
-            carries_in = tuple(incoming.pop(c, []))
-            target = n_bits[c] if c < bitlen else 0
-            max_lhs = col["const"] + len(col["singles"]) + len(col["products"]) + len(carries_in)
-            carries_out = []
-            for r in range(1, (max_lhs // 2).bit_length() + 1):
-                var = idx
+        self.columns: list[tuple[int, list[tuple[int, int]]]] = []
+        for c, bits in enumerate(inputs):  # grows while carries land past its end
+            terms = [(v, 1) for v in bits if v is not None]
+            for r in range(1, (len(bits) // 2).bit_length() + 1):
+                inputs += [[] for _ in range(c + r + 1 - len(inputs))]
+                inputs[c + r].append(idx)
+                terms.append((idx, -(1 << r)))
+                self.carry_vars.append(idx)
                 idx += 1
-                self.carry_vars.append(var)
-                carries_out.append((var, r))
-                incoming.setdefault(c + r, []).append(var)
-            columns.append(_Column(col["const"], tuple(col["singles"]),
-                                   tuple(col["products"]), carries_in,
-                                   tuple(carries_out), target))
-            c += 1
-        self.columns = columns
+            self.columns.append((bits.count(None) - ((N >> c) & 1), terms))
         self.n_vars = idx
 
     def factor_values(self, bits: np.ndarray) -> tuple[int, int]:
@@ -442,13 +405,10 @@ def pfp_to_qubo(enc: FactorizationEncoding,
     linear = [0] * enc.n_vars
     pairs: list[tuple[int, int, int]] = []
     constant = 0
-    for col in enc.columns:
+    for b, terms in enc.columns:
         # (b + sum_k c_k x_k)^2 with x_k^2 == x_k is b^2, plus c_k (c_k + 2b) x_k,
         # plus 2 c_k c_m x_k x_m per pair.  No variable repeats in a column,
         # and every coefficient is an integer, so each sum is exact in any order.
-        b = col.constant - col.target
-        terms = [(v, 1) for v in (*col.singles, *col.products, *col.carries_in)]
-        terms += [(v, -(1 << r)) for (v, r) in col.carries_out]
         constant += b * b
         for k, (v, c) in enumerate(terms):
             linear[v] += c * (c + 2 * b)
@@ -462,20 +422,27 @@ def pfp_to_qubo(enc: FactorizationEncoding,
     if reduction_penalty <= 0:
         raise ConfigError("reduction_penalty must be positive")
 
-    products = [(enc.p_vars[i - 1], enc.q_vars[j - 1], z) for (i, j), z in enc.z_vars.items()]
+    products = [(i - 1, enc.k + j - 1, z) for (i, j), z in enc.z_vars.items()]
     p, q, z = np.array(products, dtype=np.int64).reshape(-1, 3).T
     penalty_linear = np.zeros(enc.n_vars)
-    penalty_linear[z] = 3.0 * reduction_penalty
-    penalties = QuboProblem.from_arrays(
-        enc.n_vars, np.concatenate([p, p, q]), np.concatenate([q, z, z]),
-        np.repeat(reduction_penalty * np.array([1.0, -2.0, -2.0]), len(z)), penalty_linear)
+    with np.errstate(over="ignore"):  # an overflow is rejected as non-finite below
+        penalty_linear[z] = 3.0 * reduction_penalty
+        values = np.repeat(reduction_penalty * np.array([1.0, -2.0, -2.0]), len(z))
+    penalties = QuboProblem.from_arrays(enc.n_vars, np.concatenate([p, p, q]),
+                                        np.concatenate([q, z, z]), values, penalty_linear)
     return objective + penalties, enc
 
 
 def factorization_qubo(N: int, k: int | None = None, l: int | None = None,
                        reduction_penalty: float | None = None) -> tuple[QuboProblem, FactorizationEncoding]:
-    """Convenience wrapper: build the encoding (balanced split by default) and convert."""
-    if k is None or l is None:
+    """Convenience wrapper: build the encoding (balanced split by default) and convert.
+
+    ``k`` and ``l`` are given together or not at all; one alone is a
+    :class:`ConfigError`.
+    """
+    if (k is None) != (l is None):
+        raise ConfigError("free-bit counts k and l go together: give both or neither")
+    if k is None:
         k, l = suggest_bit_lengths(N)
     enc = FactorizationEncoding(N, k, l)
     return pfp_to_qubo(enc, reduction_penalty)
@@ -485,48 +452,38 @@ def decode_factors(enc: FactorizationEncoding, x) -> tuple[int, int, bool]:
     """Reconstruct (P, Q) and check full auxiliary consistency.
 
     ``consistent`` is True only if P*Q == N, every product variable equals its
-    implied product, and every column equation balances with the recorded
-    carry bits.
+    implied product, and every column equation evaluates to 0.
     """
-    bits = as_bits(x, enc.n_vars)
+    bits = as_bits(x, enc.n_vars).tolist()
     p, q = enc.factor_values(bits)
-    consistent = p * q == enc.N
-    for (i, j), z in enc.z_vars.items():
-        if bits[z] != bits[enc.p_vars[i - 1]] * bits[enc.q_vars[j - 1]]:
-            consistent = False
-    for col in enc.columns:
-        rhs = col.target + sum((1 << r) * int(bits[v]) for (v, r) in col.carries_out)
-        if col.lhs(bits) != rhs:
-            consistent = False
+    consistent = (p * q == enc.N
+                  and all(bits[z] == bits[i - 1] * bits[enc.k + j - 1]
+                          for (i, j), z in enc.z_vars.items())
+                  and all(b + sum(c * bits[v] for v, c in terms) == 0 for b, terms in enc.columns))
     return p, q, consistent
 
 
 def assignment_for_factors(enc: FactorizationEncoding, p: int, q: int) -> np.ndarray | None:
     """Zero-energy assignment encoding the factor pair (p, q), if representable.
 
-    Fills in the product variables and propagates the implied carries column
-    by column.  Returns None when (p, q) does not fit the fixed-bit pattern
-    or the columns cannot balance (i.e. p*q != N).
+    Fills in the product variables, then column by column sets the outgoing
+    carries to the binary digits of the excess ``b + sum`` of its inputs.
+    Returns None when (p, q) does not fit the fixed-bit pattern or the
+    columns cannot balance (i.e. p*q != N).
     """
     k, l = enc.k, enc.l
-    if p & 1 == 0 or q & 1 == 0:
+    if p & 1 == 0 or q & 1 == 0 or p.bit_length() != k + 2 or q.bit_length() != l + 2:
         return None
-    if p.bit_length() != k + 2 or q.bit_length() != l + 2:
-        return None
-    bits = np.zeros(enc.n_vars, dtype=np.int8)
-    for i, var in enumerate(enc.p_vars, start=1):
-        bits[var] = (p >> i) & 1
-    for j, var in enumerate(enc.q_vars, start=1):
-        bits[var] = (q >> j) & 1
+    bits = [(p >> i) & 1 for i in range(1, k + 1)] + [(q >> j) & 1 for j in range(1, l + 1)]
+    bits += [0] * (enc.n_vars - k - l)
     for (i, j), z in enc.z_vars.items():
-        bits[z] = bits[enc.p_vars[i - 1]] * bits[enc.q_vars[j - 1]]
-    for col in enc.columns:
-        excess = col.lhs(bits) - col.target
-        if excess < 0 or excess % 2 != 0:
+        bits[z] = bits[i - 1] * bits[k + j - 1]
+    for b, terms in enc.columns:
+        excess = b + sum(c * bits[v] for v, c in terms if c > 0)
+        for v, c in terms:
+            if c < 0:
+                bits[v] = (excess // -c) & 1
+                excess += c * bits[v]
+        if excess:
             return None
-        carry = excess // 2
-        for (var, r) in col.carries_out:
-            bits[var] = (carry >> (r - 1)) & 1
-        if carry >> len(col.carries_out):
-            return None
-    return bits
+    return np.array(bits, dtype=np.int8)

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compress import CompressedQubo
-from .errors import ConfigError, DimensionError, EncodingError
+from .errors import ConfigError, DimensionError, EncodingError, UnsupportedInstanceError
 from .qubo import as_bits, toggle
 
 
@@ -287,7 +287,7 @@ def _stack(layout, shape: tuple[int, int], cells: int, scale: float, dev: Device
     """The stack of a logical ``shape`` matrix stored on ``cells`` physical
     rows per logical row: the tile sizes are checked, then one plane is
     programmed per ``(sign, weight, rows, cols)`` of ``layout``, in order,
-    from one stream seeded by ``seed``.
+    from one stream seeded by ``seed``, which must be >= 0.
 
     Every ON current and the OFF leakage are then rounded, in place, to the
     nearest multiple of ``2**-grid``, ``grid = 50 - e``, where ``2**e`` is
@@ -295,17 +295,23 @@ def _stack(layout, shape: tuple[int, int], cells: int, scale: float, dev: Device
     current|``, ON and OFF cells.  Rounding adds at most half a step per
     cell, and a sum the readout or the evaluator forms adds at most four
     plane sums, so it stays below ``2**53`` grid steps and is exact in
-    float64, in any order and on any BLAS.
+    float64, in any order and on any BLAS.  Spreads so wide that a plane sum
+    is not finite are an :class:`UnsupportedInstanceError`.
     """
     if tile_rows < 1 or tile_cols < 1:
         raise ConfigError(f"tile sizes must be >= 1, got {tile_rows} x {tile_cols}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     p, q = shape
     phys = (cells * p, q)
-    currents = [_sample_on_currents(rows, cols, phys, dev, rng, tile_rows, tile_cols)
-                for _, _, rows, cols in layout]
-    peak = max(float(np.abs(c).sum()) + dev.i_off_ratio * (phys[0] * q - c.size)
-               for c in currents)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected as non-finite below
+        currents = [_sample_on_currents(rows, cols, phys, dev, rng, tile_rows, tile_cols)
+                    for _, _, rows, cols in layout]
+        peak = np.max([np.abs(c).sum() + dev.i_off_ratio * (phys[0] * q - c.size)
+                       for c in currents])
+    if not np.isfinite(peak):
+        raise UnsupportedInstanceError("cell currents overflow float64; lower the spreads")
     grid = 50 - math.frexp(peak)[1]
     for c in currents:
         np.rint(np.ldexp(c, grid, out=c), out=c)

@@ -2,6 +2,8 @@
 
 import json
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,22 @@ from qubocim.errors import ConfigError
 from qubocim.qubo import from_text
 
 K3_DIMACS = "c triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
+
+# A value for every RunConfig key: a short hw run factoring 35 ...
+EVERY_KEY = {"kind": "pfp", "source": "none", "pfp_n": "35", "pfp_k": "1", "pfp_l": "1",
+             "colors": "3", "penalty": "1.0", "reduction_penalty": "8.0", "compress": "true",
+             "oracle": "hw", "bits": "3", "ternary": "false", "sigma": "0.05",
+             "die_sigma": "0.01", "off_ratio": "0.001", "adc_bits": "8", "solver": "mesa",
+             "t0": "2.0", "alpha": "0.99", "eps_trap": "0.01", "count_max": "20",
+             "max_epochs": "5", "max_iters": "100", "flip_base": "1", "adaptive_flips": "true",
+             "trials": "1", "seed": "3", "jobs": "1", "out": "out", "optimum": "auto"}
+# ... and the keys that make it a ternary hw coloring run of ``k3.col``.
+COLORING_KEYS = {"kind": "coloring", "source": "k3.col", "pfp_n": "none", "pfp_k": "none",
+                 "pfp_l": "none", "reduction_penalty": "none", "ternary": "true"}
+
+
+def config_text(values: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
 def write_toy_col(path):
@@ -241,6 +259,40 @@ class TestConfigFile:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
 
+    @pytest.mark.parametrize("run", ["pfp", "coloring"])
+    @pytest.mark.parametrize("key", [None] + [f.name for f in fields(cli.RunConfig)])
+    def test_none_under_any_key_exits_with_a_code(self, tmp_path, monkeypatch, capsys, run, key):
+        # ``none`` is None only where a key admits None; elsewhere it is an
+        # ordinary value, which an int, float or bool key rejects at its line.
+        monkeypatch.chdir(tmp_path)
+        Path("k3.col").write_text(K3_DIMACS)
+        values = {**EVERY_KEY, **(COLORING_KEYS if run == "coloring" else {})}
+        if key is not None:
+            values[key] = "none"
+        Path("run.cfg").write_text(config_text(values))
+        code = main(["solve", "--config", "run.cfg"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4) and "Traceback" not in err
+        hint = {f.name: f.type for f in fields(cli.RunConfig)}.get(key)
+        if key is None:
+            assert code == 0
+        elif hint in ("int", "float", "bool"):
+            line, what = list(values).index(key) + 1, "boolean" if hint == "bool" else "value"
+            assert (code, err) == (3, f"error: run.cfg:{line}: bad {what} for {key}: 'none'\n")
+
+    def test_optimum_none_in_a_file_equals_the_flag(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        values = {key: value for key, value in EVERY_KEY.items() if key != "optimum"}
+        Path("file.cfg").write_text(config_text({**values, "optimum": "none", "out": "file"}))
+        Path("flag.cfg").write_text(config_text({**values, "out": "flag"}))
+        assert main(["solve", "--config", "file.cfg"]) == 0
+        assert main(["solve", "--config", "flag.cfg", "--optimum", "none"]) == 0
+        reports = [json.loads(Path(out, "report.json").read_text()) for out in ("file", "flag")]
+        for report in reports:
+            for trial in report["trials"]:
+                del trial["wall_time_s"]
+        assert reports[0] == reports[1] and reports[0]["optimum"] is None
+
     def test_flags_override_file(self, tmp_path):
         src = tmp_path / "k3.col"
         src.write_text(K3_DIMACS)
@@ -321,6 +373,12 @@ class TestExitCodes:
         (K3_DIMACS, ["solve", "{file}", "--kind", "coloring", "--penalty", "-1"], 3),
         ("pfp_n = 35\npfp_k = 5\npfp_l = 5\n", ["solve", "--config", "{file}"], 3),
         ("pfp_n = 35\nreduction_penalty = -1\n", ["solve", "--config", "{file}"], 3),
+        ("pfp_n = 35\npfp_k = 1\n", ["solve", "--config", "{file}"], 3),
+        ("pfp_n = 35\npfp_l = 1\n", ["solve", "--config", "{file}"], 3),
+        ("pfp_n = 35\nreduction_penalty = 1e308\n", ["solve", "--config", "{file}"], 3),
+        ("pfp_n = 35\noracle = hw\nsigma = 1e308\n", ["solve", "--config", "{file}"], 3),
+        ("pfp_n = 35\noracle = hw\ndie_sigma = 1e308\n", ["solve", "--config", "{file}"], 3),
+        ("pfp_n = 35\noracle = hw\nseed = -1\n", ["solve", "--config", "{file}"], 3),
         (K3_DIMACS, ["sweep", "{file}", "--kind", "maxcut", "--axis", "bits",
                      "--values", "2,x"], 3),
         ("2 1\n1 2 nan\n", ["solve", "{file}", "--kind", "maxcut"], 2),
@@ -335,6 +393,8 @@ class TestExitCodes:
          ["solve", "{file}", "--kind", "cqubo", "--oracle", "hw"], 3),
     ], ids=["qubo-index", "qubo-nan", "gset-self-loop", "dimacs-self-loop", "cqubo-row",
             "colors-0", "penalty-negative", "pfp-bit-lengths", "reduction-penalty-negative",
+            "pfp-k-alone", "pfp-l-alone", "reduction-penalty-overflow", "sigma-overflow",
+            "die-sigma-overflow", "hw-seed-negative",
             "sweep-value", "gset-nan-weight", "gset-negative-vertices", "gset-zero-vertices",
             "dimacs-negative-vertices", "qubo-repeated-q", "maxcut-coefficient-overflow",
             "cqubo-energy-overflow", "cqubo-repeated-column"])
@@ -347,6 +407,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+    def test_wide_finite_spreads_still_solve(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("die_sigma = 1e200\n")
+        assert main(["solve", "--pfp", "35", "--oracle", "hw", "--sigma", "1e200",
+                     "--config", str(cfg), "--max-iters", "20", "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("flags, config", [
         (["--oracle", "hw", "--sigma", "nan"], None),

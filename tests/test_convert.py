@@ -8,9 +8,10 @@ import pytest
 from qubocim.convert import (FactorizationEncoding, Graph, assignment_for_factors,
                              coloring_to_qubo, cut_value, decode_coloring,
                              decode_factors, demo_coloring_instance,
-                             maxcut_to_qubo, parse_dimacs_col, parse_gset,
+                             factorization_qubo, maxcut_to_qubo, parse_dimacs_col, parse_gset,
                              pfp_to_qubo, read_graph, suggest_bit_lengths)
-from qubocim.errors import DimensionError, ParseError, UnsupportedInstanceError
+from qubocim.errors import (ConfigError, DimensionError, ParseError,
+                            UnsupportedInstanceError)
 from qubocim.qubo import brute_force_minimize, energy, energy_batch, to_text
 
 
@@ -162,6 +163,25 @@ class TestFactorization:
             FactorizationEncoding(7, 0, 0)   # too small
         with pytest.raises(ValueError):
             FactorizationEncoding(35, 3, 3)  # factor widths cannot hit 6 bits
+
+    def test_free_bit_counts_go_together(self):
+        for k, l in ((0, None), (None, 1)):
+            with pytest.raises(ConfigError, match="give both or neither"):
+                factorization_qubo(35, k, l)
+        assert factorization_qubo(35)[1].k == factorization_qubo(35, 1, 1)[1].k == 1
+
+    def test_pfp35_column_equations(self):
+        # P = (1 p1 1)_2 and Q = (1 q1 1)_2: variables p1, q1, z11 = p1*q1, then
+        # carries.  Column c reads b + sum(coef * x[var]) == 0, b = pinned ones
+        # minus bit c of 35 = 100011_2.
+        enc = FactorizationEncoding(35, 1, 1)
+        assert (enc.z_vars, enc.carry_vars) == ({(1, 1): 2}, [3, 4, 5, 6, 7])
+        assert enc.columns == [(0, []),
+                               (-1, [(1, 1), (0, 1), (3, -2)]),
+                               (2, [(2, 1), (3, 1), (4, -2), (5, -4)]),
+                               (0, [(0, 1), (1, 1), (4, 1), (6, -2)]),
+                               (1, [(5, 1), (6, 1), (7, -2)]),
+                               (-1, [(7, 1)])]
 
     def test_suggested_bit_lengths(self):
         assert suggest_bit_lengths(35) == (1, 1)

@@ -9,7 +9,8 @@ import pytest
 from qubocim.compress import CompressedQubo, compress
 from qubocim.crossbar import (MAX_BITS, AdcParams, DeviceParams, dump_stack, make_hw_oracle,
                               program, program_ternary, quantize, vmv)
-from qubocim.errors import ConfigError, DimensionError, EncodingError
+from qubocim.errors import (ConfigError, DimensionError, EncodingError,
+                            UnsupportedInstanceError)
 from qubocim.qubo import QuboProblem
 
 
@@ -109,6 +110,24 @@ class TestProgram:
     def test_non_finite_params_rejected(self, make):
         with pytest.raises(ConfigError, match="finite"):
             make()
+
+    @pytest.mark.parametrize("sigma, die_sigma", [(1e308, 0.0), (0.0, 1e308), (1e308, 1e308)],
+                             ids=["sigma", "die-sigma", "both"])
+    def test_overflowing_currents_rejected(self, sigma, die_sigma):
+        # 1,600 one-cell tiles: at 1e308 some spreads and die offsets are
+        # infinite, and with both, some cells add infinities of either sign.
+        qq = quantize(rect(np.ones((40, 40))), 1)
+        with pytest.raises(UnsupportedInstanceError, match="overflow"):
+            program(qq, DeviceParams(i_on_rel_sigma=sigma, die_offset_sigma=die_sigma), seed=0,
+                    tile_rows=1, tile_cols=1)
+        wide = DeviceParams(i_on_rel_sigma=min(sigma, 1e200),
+                            die_offset_sigma=min(die_sigma, 1e200))
+        stack = program(qq, wide, seed=0, tile_rows=1, tile_cols=1)
+        assert np.isfinite(stack.planes[0].currents).all()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            program(quantize(rect(np.ones((2, 2))), 1), seed=-1)
 
     def test_bit_planes_follow_binary_expansion(self):
         qq = quantize(rect([[5.0, 7.0]]), 3)  # scale 1, so codes are (5, 7)

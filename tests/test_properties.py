@@ -5,8 +5,10 @@
   ``cli.main(["solve", ...])``; each run must end in a documented exit code
   (0, 2, 3 or 4), and an exception escaping ``main`` fails the test.  A
   near-valid file is a well-formed file of a random instance (at most 10**3
-  variables or vertices) after a few edits: a field replaced by a bad token,
-  a field dropped, a line repeated or deleted, or a junk line inserted.
+  variables or vertices), or a config file setting every key for a hw run
+  factoring 35, after a few edits: a field replaced by a bad token (or, in a
+  config file, by ``none``), a field dropped, a line repeated or deleted, or
+  a junk line inserted.
 * Compression keeps every coefficient, and the compressed energy of every
   assignment is the exact energy up to float64 rounding of the two sums.
 * Noiseless readout is exact: with no cell spread, no leakage and ADC bits
@@ -24,6 +26,8 @@
 * The Ising change of variables and its inverse keep every energy.
 * The coloring and factoring QUBOs have minimum energy 0 exactly when the
   instance is feasible (checked by brute force over at most 20 variables).
+* The factoring decoder accepts exactly the zero-energy assignments, and
+  ``assignment_for_factors`` builds one for exactly the factor pairs of N.
 * An oracle's own evaluator agrees with the oracle: along a random walk of
   resets, peeks, commits and runs of peeks at one state long enough to
   build a move table, every energy it returns equals ``oracle(y)`` exactly,
@@ -41,12 +45,13 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qubocim import qubo
 from qubocim.anneal import SOLVERS, AnnealConfig, iter_trials
-from qubocim.convert import FactorizationEncoding, Graph, coloring_to_qubo, pfp_to_qubo
+from qubocim.convert import (FactorizationEncoding, Graph, assignment_for_factors,
+                             coloring_to_qubo, decode_factors, pfp_to_qubo)
 from qubocim.errors import EncodingError, UnsupportedInstanceError
 from qubocim.cli import main
 from qubocim.crossbar import (BATCH_STATES, AdcParams, DeviceParams, make_hw_oracle,
@@ -54,6 +59,7 @@ from qubocim.crossbar import (BATCH_STATES, AdcParams, DeviceParams, make_hw_ora
 from qubocim.compress import CompressedQubo, compress, compressed_energy, decompress
 from qubocim.compress import to_text as compressed_to_text
 
+from test_cli import EVERY_KEY, config_text
 from test_convert import backtracking_colorable
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -107,7 +113,11 @@ def write(fmt: str, n: int, weights: dict, linear: dict) -> str:
 @st.composite
 def near_valid(draw, fmt: str):
     """A well-formed ``fmt`` file after zero to three random edits."""
-    lines = write(fmt, *draw(instance())).splitlines()
+    config = fmt == "config"
+    if config:
+        lines, tokens = config_text(EVERY_KEY).splitlines(), BAD_TOKENS + ["none"]
+    else:
+        lines, tokens = write(fmt, *draw(instance())).splitlines(), BAD_TOKENS
     for _ in range(draw(st.integers(0, 3))):
         # Bad tokens reach the most checks, so they are drawn twice as often.
         edit = draw(st.sampled_from(["token", "token", "drop", "repeat", "delete", "junk"]))
@@ -116,7 +126,9 @@ def near_valid(draw, fmt: str):
         if edit == "junk" or not fields:
             lines.insert(at, draw(JUNK))
         elif edit == "token":
-            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+            # In a config line the value: a bad key or ``=`` only reaches the line parser.
+            fields[-1 if config else draw(st.integers(0, len(fields) - 1))] = \
+                draw(st.sampled_from(tokens))
             lines[at] = " ".join(fields)
         elif edit == "drop":
             lines[at] = " ".join(fields[:-1])
@@ -127,7 +139,8 @@ def near_valid(draw, fmt: str):
     return "\n".join(lines) + "\n"
 
 
-KINDS = {"qubo": ["qubo"], "cqubo": ["cqubo"],
+# The problem kinds each format is solved as; a config file names its own.
+KINDS = {"qubo": ["qubo"], "cqubo": ["cqubo"], "config": ["pfp"],
          "dimacs": ["maxcut", "coloring"], "gset": ["maxcut", "coloring"]}
 
 
@@ -163,7 +176,9 @@ def test_near_valid_files_exit_with_a_code(tmp_path_factory, fmt):
     # Found here: the sum of its t0 calibration deltas overflowed float64.
     @example(text="cqubo 2 0 0\nc 1.5\nl 0 1e308\nrows \ncols \n", kind="cqubo")
     def check(text, kind):
-        assert solve(directory, text.encode(), ["solve", "{file}", "--kind", kind]) in EXIT_CODES
+        argv = (["solve", "--config", "{file}"] if fmt == "config"
+                else ["solve", "{file}", "--kind", kind])
+        assert solve(directory, text.encode(), argv) in EXIT_CODES
 
     check()
 
@@ -384,6 +399,42 @@ def test_factoring_minimum_is_zero_exactly_when_feasible(data):
     minimum = qubo.brute_force_minimize(problem)[1]
     assert minimum >= 0.0
     assert (minimum == 0.0) == feasible
+
+
+@st.composite
+def factoring_encodings(draw):
+    """An encoding with k, l <= 3 free bits, of a product of two factors of
+    its widths or of any odd N of a width they can produce."""
+    k, l = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        p = draw(st.integers(2 ** (k + 1), 2 ** (k + 2) - 1)) | 1
+        N = p * (draw(st.integers(2 ** (l + 1), 2 ** (l + 2) - 1)) | 1)
+    else:
+        N = draw(st.integers(max(9, 2 ** (k + l + 2)), 2 ** (k + l + 4) - 1)) | 1
+    return FactorizationEncoding(N, k, l)
+
+
+@bounded(30)
+@given(enc=factoring_encodings())
+def test_factoring_decoder_accepts_exactly_the_zero_energy_states(enc):
+    assume(enc.n_vars <= 14)
+    problem, _ = pfp_to_qubo(enc)
+    X = qubo.bit_patterns(enc.n_vars, 0, 1 << enc.n_vars)
+    zero = qubo.energy_batch(problem, X) == 0.0
+    assert [decode_factors(enc, x)[2] for x in X] == zero.tolist()
+
+
+@bounded(40)
+@given(enc=factoring_encodings())
+def test_factor_assignment_exists_exactly_for_factor_pairs(enc):
+    problem, _ = pfp_to_qubo(enc)
+    for p in range(2 ** (enc.k + 1) + 1, 2 ** (enc.k + 2), 2):
+        for q in range(2 ** (enc.l + 1) + 1, 2 ** (enc.l + 2), 2):
+            x = assignment_for_factors(enc, p, q)
+            assert (x is None) == (p * q != enc.N)
+            if x is not None:
+                assert qubo.energy(problem, x) == 0.0
+                assert decode_factors(enc, x) == (p, q, True)
 
 
 NOISY = DeviceParams(i_on_rel_sigma=0.1, die_offset_sigma=0.05)
