@@ -208,9 +208,8 @@ def _start(oracle: Oracle, n: int, cfg: AnnealConfig):
 
 
 def _metropolis_accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
+    # The caller passes only uphill moves, delta > 0, so ``arg`` is negative.
     arg = -delta / temperature if temperature > 0 else -math.inf
-    if arg >= 0:
-        return True
     if arg < -745.0:  # exp underflows to zero
         return False
     return rng.random() < math.exp(arg)
@@ -356,7 +355,8 @@ def iter_trials(oracle: Oracle, n: int, cfg: AnnealConfig, trials: int,
 
     Trial ``i`` runs with seed ``derive_seed(cfg.seed, i)``, so the records
     do not depend on ``jobs``; ``jobs > 1`` runs the trials in one process
-    pool.  The settings are checked on the call, before any trial starts.
+    pool of at most one worker per trial.  The settings are checked on the
+    call, before any trial starts.
     """
     check_trials(trials, jobs, solver)
     work = [(oracle, n, cfg, solver, i) for i in range(trials)]
@@ -364,7 +364,8 @@ def iter_trials(oracle: Oracle, n: int, cfg: AnnealConfig, trials: int,
 
 
 def _pooled(work: list, jobs: int) -> Iterator[TrialRecord]:
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # At most one worker per trial: under fork, every worker starts at once.
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
         yield from pool.map(_trial, work)
 
 

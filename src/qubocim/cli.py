@@ -138,7 +138,13 @@ class Instance:
         return {}
 
 
+KINDS = ("maxcut", "coloring", "pfp", "qubo", "cqubo")
+ORACLES = ("exact", "hw")
+
+
 def build_instance(rc: RunConfig) -> Instance:
+    if rc.kind not in KINDS:
+        raise ConfigError(f"unknown problem kind {rc.kind!r}")
     if rc.kind == "pfp":
         if rc.pfp_n is None:
             raise ConfigError("pfp runs need pfp_n (--pfp N)")
@@ -146,6 +152,8 @@ def build_instance(rc: RunConfig) -> Instance:
                                                   rc.reduction_penalty)
         meta = {"kind": "pfp", "n": rc.pfp_n, "k": enc.k, "l": enc.l, "n_vars": problem.n}
         return Instance("pfp", problem, factoring=enc, metadata=meta)
+    if rc.pfp_n is not None:
+        raise ConfigError(f"pfp_n is set, but kind is {rc.kind!r}; factoring needs kind pfp")
     if rc.source is None:
         raise ConfigError(f"{rc.kind} runs need an input file (source)")
     if rc.kind == "qubo":
@@ -164,13 +172,11 @@ def build_instance(rc: RunConfig) -> Instance:
                 "n_vertices": graph.n_vertices, "n_edges": graph.n_edges,
                 "n_vars": problem.n}
         return Instance("maxcut", problem, graph=graph, metadata=meta)
-    if rc.kind == "coloring":
-        problem, enc = convert.coloring_to_qubo(graph, rc.colors, rc.penalty)
-        meta = {"kind": "coloring", "source": str(rc.source),
-                "n_vertices": graph.n_vertices, "n_edges": graph.n_edges,
-                "colors": rc.colors, "penalty": rc.penalty, "n_vars": problem.n}
-        return Instance("coloring", problem, graph=graph, coloring=enc, metadata=meta)
-    raise ConfigError(f"unknown problem kind {rc.kind!r}")
+    problem, enc = convert.coloring_to_qubo(graph, rc.colors, rc.penalty)
+    meta = {"kind": "coloring", "source": str(rc.source),
+            "n_vertices": graph.n_vertices, "n_edges": graph.n_edges,
+            "colors": rc.colors, "penalty": rc.penalty, "n_vars": problem.n}
+    return Instance("coloring", problem, graph=graph, coloring=enc, metadata=meta)
 
 
 def _anneal_config(rc: RunConfig, eps_default: float) -> anneal.AnnealConfig:
@@ -187,14 +193,14 @@ def _build_oracle(rc: RunConfig, instance: Instance, exact: qubo.QuboProblem):
     ``exact`` is the instance's QUBO; the exact oracle evaluates it directly,
     since compression preserves every coefficient.
     """
+    if rc.oracle not in ORACLES:
+        raise ConfigError(f"unknown oracle {rc.oracle!r}")
     compressed = instance.compressed
     stats = None
     if compressed is None and (rc.compress or rc.oracle == "hw"):
         compressed, stats = compress_problem(instance.problem)
     if rc.oracle == "exact":
         return qubo.exact_oracle(exact), stats, {"type": "exact"}, 1e-9
-    if rc.oracle != "hw":
-        raise ConfigError(f"unknown oracle {rc.oracle!r}")
     dev = crossbar.DeviceParams(i_on_rel_sigma=rc.sigma, i_off_ratio=rc.off_ratio,
                                 die_offset_sigma=rc.die_sigma)
     adc = crossbar.AdcParams(bits=rc.adc_bits) if rc.adc_bits is not None else None
@@ -320,18 +326,15 @@ def cmd_solve(rc: RunConfig) -> int:
     return 0
 
 
-# Sweep axis -> (RunConfig field it sets, type of its values).
-_SWEEP_AXES = {"bits": ("bits", int), "sigma": ("sigma", float), "adc-bits": ("adc_bits", int)}
+# Sweep axis -> the RunConfig field it sets.
+_SWEEP_AXES = {"bits": "bits", "sigma": "sigma", "adc-bits": "adc_bits"}
 
 
 def cmd_sweep(rc: RunConfig, axis: str, values: list[str]) -> int:
     if axis not in _SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    field, kind = _SWEEP_AXES[axis]
-    try:
-        points = [(text, kind(text)) for text in values]
-    except ValueError:
-        raise ConfigError(f"bad {axis} values: {','.join(values)!r}") from None
+    field = _SWEEP_AXES[axis]
+    points = [(text, _coerce(field, text)) for text in values]
     out = Path(rc.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -368,50 +371,50 @@ def cmd_stats(ns_input: str, out_file: str | None) -> int:
     return 0
 
 
+# A flag that sets a RunConfig field keeps its text; _merged_config parses it
+# with _coerce, exactly as the same value on a config-file line.
 def _add_problem_flags(p: argparse.ArgumentParser):
     p.add_argument("input", nargs="?",
                    help="input file (DIMACS .col, edge list, or native qubo/cqubo)")
-    p.add_argument("--kind", choices=["maxcut", "coloring", "pfp", "qubo", "cqubo"])
-    p.add_argument("--pfp", type=int, dest="pfp_n", metavar="N",
-                   help="integer to factor (implies --kind pfp)")
-    p.add_argument("--colors", type=int, metavar="K")
-    p.add_argument("--penalty", type=float)
+    p.add_argument("--kind", help=" | ".join(KINDS))
+    p.add_argument("--pfp", dest="pfp_n", metavar="N",
+                   help="integer to factor (kind pfp unless a kind is given)")
+    p.add_argument("--colors", metavar="K")
+    p.add_argument("--penalty")
     p.add_argument("--out", metavar="DIR")
 
 
 def _add_solve_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="FILE", help="key=value config file")
-    p.add_argument("--compress", dest="compress", action="store_true", default=None)
-    p.add_argument("--no-compress", dest="compress", action="store_false", default=None)
-    p.add_argument("--oracle", choices=["exact", "hw"])
-    p.add_argument("--bits", type=int, metavar="M")
-    p.add_argument("--ternary", action="store_true", default=None)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--adc-bits", type=int, dest="adc_bits")
-    p.add_argument("--solver", choices=anneal.SOLVERS)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--count-max", type=int, dest="count_max")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t0", type=float)
+    p.add_argument("--compress", action="store_const", const="true")
+    p.add_argument("--no-compress", dest="compress", action="store_const", const="false")
+    p.add_argument("--oracle", help=" | ".join(ORACLES))
+    p.add_argument("--bits", metavar="M")
+    p.add_argument("--ternary", action="store_const", const="true")
+    p.add_argument("--sigma")
+    p.add_argument("--adc-bits")
+    p.add_argument("--solver", help=" | ".join(anneal.SOLVERS))
+    p.add_argument("--trials")
+    p.add_argument("--seed")
+    p.add_argument("--jobs")
+    p.add_argument("--max-iters")
+    p.add_argument("--max-epochs")
+    p.add_argument("--count-max")
+    p.add_argument("--alpha")
+    p.add_argument("--t0")
     p.add_argument("--optimum", help="auto | brute | none | numeric target energy")
 
 
 def _merged_config(ns: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(ns, "config", None):
-        values.update(load_config_file(ns.config))
+    values = load_config_file(ns.config) if getattr(ns, "config", None) else {}
     for f in fields(RunConfig):
-        flag = getattr(ns, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
+        text = getattr(ns, f.name, None)
+        if text is not None:
+            values[f.name] = _coerce(f.name, text)
     if getattr(ns, "input", None) is not None:
         values["source"] = ns.input
     if values.get("pfp_n") is not None:
-        values["kind"] = "pfp"
+        values.setdefault("kind", "pfp")  # a kind that is given wins
     return RunConfig(**values)
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qubocim import anneal
 from qubocim.anneal import (AnnealConfig, AnnealTrace, derive_seed, flip_indices, mesa_solve,
                             run_trials, sa_solve, success_rate)
 from qubocim.convert import coloring_to_qubo, demo_coloring_instance
@@ -179,6 +180,33 @@ class TestHarness:
         serial = run_trials(oracle, 4, cfg, trials=6, jobs=1)
         parallel = run_trials(oracle, 4, cfg, trials=6, jobs=2)
         for (xa, ea), (xb, eb) in zip(serial, parallel):
+            assert ea == eb and np.array_equal(xa, xb)
+
+    def test_pool_has_at_most_one_worker_per_trial(self, monkeypatch):
+        # A stand-in pool that records its size and maps in this process, so
+        # no test starts the pool that --jobs 100000 once asked for.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(anneal, "ProcessPoolExecutor", InProcessPool)
+        oracle = exact_oracle(UNIQUE_MIN)
+        cfg = AnnealConfig(seed=4, max_iters=50)
+        pooled = run_trials(oracle, 4, cfg, trials=3, jobs=100_000)
+        serial = run_trials(oracle, 4, cfg, trials=3, jobs=1)
+        assert sizes == [3]
+        for (xa, ea), (xb, eb) in zip(pooled, serial, strict=True):
             assert ea == eb and np.array_equal(xa, xb)
 
     def test_csv_header(self):

@@ -1,7 +1,9 @@
 """Tests for the command-line harness: pipelines, reports, exit codes."""
 
+import argparse
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -31,6 +33,22 @@ COLORING_KEYS = {"kind": "coloring", "source": "k3.col", "pfp_n": "none", "pfp_k
 
 def config_text(values: dict) -> str:
     return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+def solve_flags() -> list[tuple[str, str, str | None]]:
+    """``(flag, key, const)`` of every ``solve`` flag that sets a RunConfig field.
+
+    ``const`` is the value a flag without an argument stores, else None.
+    """
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {f.name for f in fields(cli.RunConfig)}
+    return [(a.option_strings[0], a.dest, a.const) for a in sub.choices["solve"]._actions
+            if a.option_strings and a.dest in keys]
+
+
+def without_file_line(err: str) -> str:
+    """A config error as a flag reports it: the ``path:line: `` prefix removed."""
+    return re.sub(r"^error: [^\n]*?\.cfg:\d+: ", "error: ", err)
 
 
 def write_toy_col(path):
@@ -230,6 +248,17 @@ class TestSweep:
         assert (out / "bits_2" / "report.json").exists()
         assert (out / "bits_5" / "report.json").exists()
 
+    def test_a_bad_value_reads_like_a_config_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("bits = x\n")
+        runs = []
+        for argv in (["--values", "2,x"], ["--values", "2", "--config", "run.cfg"]):
+            runs.append(main(["sweep", "--pfp", "35", "--oracle", "hw", "--axis", "bits",
+                              "--max-iters", "20"] + argv))
+            runs.append(without_file_line(capsys.readouterr().err))
+        assert runs == [3, "error: bad value for bits: 'x'\n"] * 2
+        assert not Path("runs").exists()
+
 
 class TestConfigFile:
     def test_key_value_parsing(self, tmp_path):
@@ -319,6 +348,90 @@ class TestParser:
         assert cli._parser() is parser
         assert (runs[0]["trials"], runs[0]["seed"]) == (2, 5)
         assert (runs[1]["trials"], runs[1]["seed"]) == (cli.RunConfig.trials, cli.RunConfig.seed)
+
+
+# A value of each kind that a flag or a config line may carry.
+FLAG_TOKENS = ["x", "2.5", "-1", "nan", "none"]
+PARITY_CASES = [(flag, key, value, const is not None) for flag, key, const in solve_flags()
+                for value in ([const] if const is not None else FLAG_TOKENS)]
+
+
+class TestOneParser:
+    """A flag, a config line and a sweep value are parsed by one function."""
+
+    @pytest.mark.parametrize("flag, key, value, const", PARITY_CASES,
+                             ids=[f"{flag}={value}" for flag, _, value, _ in PARITY_CASES])
+    def test_a_flag_parses_like_its_config_line(self, tmp_path, monkeypatch, capsys,
+                                                flag, key, value, const):
+        # The hw run factoring 35 of EVERY_KEY, with one value set by a flag
+        # over the file, or by the file's own line; a SystemExit fails the test.
+        monkeypatch.chdir(tmp_path)
+        Path("base.cfg").write_text(config_text(EVERY_KEY))
+        Path("line.cfg").write_text(config_text({**EVERY_KEY, key: value}))
+        by_flag = main(["solve", "--config", "base.cfg", flag] + ([] if const else [value]))
+        flag_err = capsys.readouterr().err
+        by_line = main(["solve", "--config", "line.cfg"])
+        line_err = capsys.readouterr().err
+        assert (by_flag, flag_err) == (by_line, without_file_line(line_err))
+        assert by_flag in (0, 3, 4) and "Traceback" not in flag_err
+
+    def test_every_flagged_key_is_covered(self):
+        # The parity cases come from walking the parser; an empty walk would pass them all.
+        keys = {key for _, key, _, _ in PARITY_CASES}
+        assert keys == {f.name for f in fields(cli.RunConfig)} - {
+            "source", "pfp_k", "pfp_l", "reduction_penalty", "die_sigma", "off_ratio",
+            "eps_trap", "flip_base", "adaptive_flips"}
+
+    @pytest.mark.parametrize("argv, config", [
+        (["k3.col", "--kind", "coloring", "--pfp", "35"], None),
+        ([], "source = k3.col\nkind = coloring\npfp_n = 35\n"),
+        (["--pfp", "35"], "source = k3.col\nkind = coloring\n"),
+        (["--kind", "coloring"], "source = k3.col\npfp_n = 35\n"),
+    ], ids=["flags", "file", "pfp-flag", "kind-flag"])
+    def test_a_kind_other_than_pfp_with_pfp_n_is_3(self, tmp_path, monkeypatch, capsys,
+                                                   argv, config):
+        monkeypatch.chdir(tmp_path)
+        Path("k3.col").write_text(K3_DIMACS)
+        if config is not None:
+            Path("run.cfg").write_text(config)
+            argv = argv + ["--config", "run.cfg"]
+        assert main(["solve", "--max-iters", "20"] + argv) == 3
+        assert capsys.readouterr().err == (
+            "error: pfp_n is set, but kind is 'coloring'; factoring needs kind pfp\n")
+        assert not Path("runs").exists()
+
+    @pytest.mark.parametrize("argv, config, kind", [
+        (["--pfp", "35"], None, "pfp"),
+        ([], "pfp_n = 35\n", "pfp"),
+        (["--kind", "pfp"], "pfp_n = 35\n", "pfp"),
+        (["k3.col", "--kind", "maxcut"], "pfp_n = none\n", "maxcut"),
+        (["k3.col"], None, "maxcut"),
+    ], ids=["pfp-flag", "pfp-line", "kind-flag", "pfp-none", "default"])
+    def test_kind_defaults_to_pfp_when_pfp_n_is_set(self, tmp_path, monkeypatch,
+                                                    argv, config, kind):
+        monkeypatch.chdir(tmp_path)
+        Path("k3.col").write_text(K3_DIMACS)
+        if config is not None:
+            Path("run.cfg").write_text(config)
+            argv = argv + ["--config", "run.cfg"]
+        assert main(["solve", "--max-iters", "20", "--optimum", "none"] + argv) == 0
+        assert json.loads(Path("runs", "report.json").read_text())["instance"]["kind"] == kind
+
+    def test_an_unknown_kind_is_3_before_the_input_is_read(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path / "missing.col"), "--kind", "bogus",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: unknown problem kind 'bogus'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--pfp", "35", "--bogus", "1"],
+        ["solve", "--pfp", "35", "--bits"],
+        ["sweep", "--pfp", "35", "--values", "2"],
+        ["sweep", "--pfp", "35", "--axis", "colors", "--values", "2"],
+    ], ids=["unknown-flag", "flag-without-value", "no-axis", "unknown-axis"])
+    def test_usage_errors_still_exit_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:

@@ -1,14 +1,15 @@
 """Property tests over generated inputs.
 
-* No input file makes the command line raise.  Arbitrary bytes, and
-  near-valid files of every text format, go through
-  ``cli.main(["solve", ...])``; each run must end in a documented exit code
-  (0, 2, 3 or 4), and an exception escaping ``main`` fails the test.  A
-  near-valid file is a well-formed file of a random instance (at most 10**3
-  variables or vertices), or a config file setting every key for a hw run
-  factoring 35, after a few edits: a field replaced by a bad token (or, in a
-  config file, by ``none``), a field dropped, a line repeated or deleted, or
-  a junk line inserted.
+* No input file or flag value makes the command line raise.  Arbitrary
+  bytes, near-valid files of every text format and near-valid flags go
+  through ``cli.main(["solve", ...])``; each run must end in a documented
+  exit code (0, 2, 3 or 4), and an exception escaping ``main`` fails the
+  test.  A near-valid file is a well-formed file of a random instance (at
+  most 10**3 variables or vertices), or a config file setting every key for
+  a hw run factoring 35, after a few edits: a field replaced by a bad token
+  (or, in a config file, by ``none``), a field dropped, a line repeated or
+  deleted, or a junk line inserted.  Near-valid flags are the value flags of
+  that hw run with one value replaced by a bad token or ``none``.
 * Compression keeps every coefficient, and the compressed energy of every
   assignment is the exact energy up to float64 rounding of the two sums.
 * Noiseless readout is exact: with no cell spread, no leakage and ADC bits
@@ -59,7 +60,7 @@ from qubocim.crossbar import (BATCH_STATES, AdcParams, DeviceParams, make_hw_ora
 from qubocim.compress import CompressedQubo, compress, compressed_energy, decompress
 from qubocim.compress import to_text as compressed_to_text
 
-from test_cli import EVERY_KEY, config_text
+from test_cli import EVERY_KEY, config_text, solve_flags
 from test_convert import backtracking_colorable
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -82,6 +83,10 @@ JUNK = st.one_of(st.sampled_from(["", "   ", "# note", "% note", "c note", "?"])
                  st.text(alphabet=" \t#%cpeqlmrows0123456789.-xnaif", max_size=12))
 COEFFICIENT = st.one_of(st.integers(-3, 3).map(float),
                         st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+
+
+# The value flags of a valid hw run factoring 35, as in EVERY_KEY.
+HW_FLAGS = {flag: EVERY_KEY[key] for flag, key, const in solve_flags() if const is None}
 
 
 @st.composite
@@ -179,6 +184,22 @@ def test_near_valid_files_exit_with_a_code(tmp_path_factory, fmt):
         argv = (["solve", "--config", "{file}"] if fmt == "config"
                 else ["solve", "{file}", "--kind", kind])
         assert solve(directory, text.encode(), argv) in EXIT_CODES
+
+    check()
+
+
+def test_near_valid_flags_exit_with_a_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # an ``--out`` value is a directory here
+
+    @bounded(80)
+    @given(flag=st.sampled_from(sorted(HW_FLAGS)), token=st.sampled_from(BAD_TOKENS + ["none"]))
+    def check(flag, token):
+        # 10**20 trials is a valid request for a run that cannot end.
+        assume(not (flag == "--trials" and token == "99999999999999999999"))
+        # ``--flag=value``, so that a token such as ``-inf`` reaches the value
+        # parser rather than being read as a flag.
+        argv = [f"{f}={token if f == flag else value}" for f, value in HW_FLAGS.items()]
+        assert main(["solve"] + argv) in EXIT_CODES
 
     check()
 
