@@ -18,7 +18,11 @@ callable is evaluated in full on every candidate.
 Randomness comes from numpy's PCG64 generator with explicit 64-bit seeding;
 identical (oracle, config, seed) triples reproduce traces bit for bit on one
 machine and numpy/BLAS build (float reductions may round differently
-elsewhere).  Independent trials derive per-trial seeds from
+elsewhere).  The two-index move's draws are defined here, in
+:func:`flip_indices`, as the three bounded-integer draws that numpy 2.x's
+``Generator.choice(n, 2, replace=False)`` makes, so they equal ``choice``'s
+indices and leave the generator in the same state; wider moves call
+``choice`` itself.  Independent trials derive per-trial seeds from
 ``(base_seed, trial_index)`` so results do not depend on scheduling.
 """
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Iterator, NamedTuple
@@ -40,6 +45,8 @@ Oracle = Callable[[np.ndarray], float]
 
 CALIBRATION_SAMPLES = 100
 FLIP_RAMP_AFTER = 25  # stagnant iterations before the perturbation widens by one bit
+TRIALS_IN_FLIGHT = 2  # trials submitted to a process pool ahead of the results, per worker
+CSV_BLOCK_ROWS = 2048  # trace rows that AnnealTrace.write_csv formats and joins at a time
 
 
 @dataclass(frozen=True)
@@ -132,16 +139,33 @@ class AnnealTrace:
     CSV_HEADER = "iter,epoch,E_new,E_o,E_best,accepted,trapped,T,flips"
 
     def write_csv(self, stream: IO[str]):
+        """The header, then one row per iteration: each value as its ``repr``,
+        the bool flags as 0 and 1.
+
+        ``CSV_BLOCK_ROWS`` rows at a time, each column of them is formatted
+        once per distinct value and the rows are joined into one string.
+        """
         stream.write(self.CSV_HEADER + "\n")
-        rows = zip(*(np.asarray(getattr(self, name)[:self.iters_used],
-                                dtype=np.int64 if dtype is bool else dtype).tolist()
-                     for name, dtype in _COLUMNS))
-        stream.writelines(f"{it},{ep},{en!r},{eo!r},{eb!r},{acc},{trap},{t!r},{k}\n"
-                          for it, ep, en, eo, eb, acc, trap, t, k in rows)
+        columns = [np.asarray(getattr(self, name)[:self.iters_used],
+                              dtype=np.int64 if dtype is bool else dtype)
+                   for name, dtype in _COLUMNS]
+        for lo in range(0, self.iters_used, CSV_BLOCK_ROWS):
+            block = [_texts(column[lo:lo + CSV_BLOCK_ROWS]) for column in columns]
+            stream.write("\n".join(map(",".join, zip(*block))) + "\n")
 
     def to_csv(self, path):
         with open(path, "w", newline="") as f:
             self.write_csv(f)
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each of the 8-byte ``values``, called once per distinct value.
+
+    Values are told apart by their bits, so -0.0 keeps its own text.
+    """
+    distinct, at = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    return texts[at].tolist()
 
 
 def _finish(rows: list[tuple], x_best, e_final, epochs_used) -> AnnealTrace:
@@ -154,9 +178,25 @@ def _finish(rows: list[tuple], x_best, e_final, epochs_used) -> AnnealTrace:
 
 
 def flip_indices(n: int, k: int, rng: np.random.Generator) -> list[int]:
-    """``k`` distinct indices below ``n``, uniformly chosen."""
+    """``k`` distinct indices below ``n``, uniformly chosen.
+
+    One index is one ``rng.integers(n)``.  Two indices are drawn here as
+    numpy 2.x's ``rng.choice(n, 2, replace=False)`` draws them, without its
+    set allocation and argument handling: Floyd's algorithm (Bentley and
+    Floyd, CACM 30(9), 1987) takes ``i`` below ``n - 1`` and ``j`` below
+    ``n``, with ``n - 1`` in place of a ``j`` equal to ``i``; one more draw
+    below 2 then orders the pair as ``choice``'s shuffle does.  The indices
+    and the generator's state after the call equal ``choice``'s.  Three or
+    more indices come from ``rng.choice`` itself.
+    """
     if k == 1:
         return [int(rng.integers(n))]
+    if k == 2:
+        i = int(rng.integers(n - 1))
+        j = int(rng.integers(n))
+        if j == i:
+            j = n - 1
+        return [i, j] if rng.integers(2) else [j, i]
     return rng.choice(n, size=k, replace=False).tolist()
 
 
@@ -356,17 +396,30 @@ def iter_trials(oracle: Oracle, n: int, cfg: AnnealConfig, trials: int,
     Trial ``i`` runs with seed ``derive_seed(cfg.seed, i)``, so the records
     do not depend on ``jobs``; ``jobs > 1`` runs the trials in one process
     pool of at most one worker per trial.  The settings are checked on the
-    call, before any trial starts.
+    call, before any trial starts.  The work is made as it is consumed, so
+    any number of trials starts at once; a pool holds at most
+    ``TRIALS_IN_FLIGHT`` trials per worker that are not yet yielded.
     """
     check_trials(trials, jobs, solver)
-    work = [(oracle, n, cfg, solver, i) for i in range(trials)]
-    return map(_trial, work) if jobs == 1 else _pooled(work, jobs)
+    work = ((oracle, n, cfg, solver, i) for i in range(trials))
+    return map(_trial, work) if jobs == 1 else _pooled(work, min(jobs, trials))
 
 
-def _pooled(work: list, jobs: int) -> Iterator[TrialRecord]:
+def _pooled(work: Iterator[tuple], workers: int) -> Iterator[TrialRecord]:
     # At most one worker per trial: under fork, every worker starts at once.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-        yield from pool.map(_trial, work)
+    # ``Executor.map`` would submit every item before yielding the first.
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        try:
+            for item in work:
+                window.append(pool.submit(_trial, item))
+                if len(window) == workers * TRIALS_IN_FLIGHT:
+                    yield window.popleft().result()
+            while window:
+                yield window.popleft().result()
+        finally:
+            for future in window:  # a consumer that stops early waits for no more trials
+                future.cancel()
 
 
 def run_trials(oracle: Oracle, n: int, cfg: AnnealConfig, trials: int,

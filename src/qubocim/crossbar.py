@@ -583,7 +583,8 @@ class _Moves(NamedTuple):
 
     index: dict         # sorted tuple of flipped variables -> move number
     flips: np.ndarray   # (moves, width) flipped variables
-    bands: list         # (band number, moves that re-read it, their row and entry flips)
+    bands: list         # (band number, moves that re-read it, their row and entry flips,
+                        #  the (live, planes) indicator of each live entry's plane segment)
     trigger: int        # peeks at one state that build the table
 
 
@@ -636,7 +637,8 @@ class HwEvaluator:
         self._tables: dict[int, np.ndarray] = {}  # per-move totals by width
         self._peeks = 0  # at this state, of any width
 
-    def _reread(self, band: _Band, base, act_rows, active) -> tuple[np.ndarray, np.ndarray]:
+    def _reread(self, band: _Band, base, act_rows, active,
+                segment=None) -> tuple[np.ndarray, np.ndarray]:
         """Read ``band`` for new states; returns their fresh live counts and,
         for each plane of ``band.planes``, the sums of ``(fresh - base) *
         active`` over the plane's live entries.
@@ -645,10 +647,16 @@ class HwEvaluator:
         and ``active`` their activations of its live entries' columns, one
         state as a vector or one state per row; ``base`` holds the counts
         the states are moved from, one row for all or one row per state.
+        Given ``segment``, the ``(live, planes)`` 0/1 indicator of each live
+        entry's plane, a move table's layout holds, the sums are one product
+        with it rather than an ``np.add.reduceat``; the summands are integers
+        or grid currents, so both give the same sums.
         """
         fresh = self._oracle._live_counts(band, act_rows.astype(np.float64))
         change = fresh - base
         change *= active
+        if segment is not None:
+            return fresh, change @ segment
         return fresh, np.add.reduceat(change, band.starts, axis=-1)
 
     def _move(self, y, flips) -> tuple[np.ndarray, dict]:
@@ -715,7 +723,9 @@ class HwEvaluator:
             moves = np.flatnonzero(row_flips.any(axis=1))
             if moves.size:
                 entry_flips = (band.col_vars[:, None] == flips[moves, None, :]).any(axis=2)
-                bands.append((b, moves, row_flips[moves].view(np.int8), entry_flips.view(np.int8)))
+                segment = (band.entries // o.stack.n_cols)[:, None] == band.planes
+                bands.append((b, moves, row_flips[moves].view(np.int8), entry_flips.view(np.int8),
+                              segment.astype(np.float64)))
                 products += -(-moves.size // MOVE_CHUNK)
                 reads += moves.size * band.entries.size
         trigger = max(2, products + -(-reads // (max(width, 1) * MOVE_PEEK_READS)))
@@ -728,15 +738,17 @@ class HwEvaluator:
         # removes it; the appended zero column serves the other variables.
         padded = np.concatenate([self._col_counts, np.zeros((len(o._weights), 1))], axis=1)
         signed = padded.T[o._col_of] * (1.0 - 2.0 * x)[:, None]
-        totals = self._total + signed[moves.flips].sum(axis=1)
-        for b, moved, row_flips, entry_flips in moves.bands:
+        totals = np.repeat(self._total[None], len(moves.flips), axis=0)
+        for flipped in moves.flips.T:  # one flipped variable of every move at a time
+            totals += signed[flipped]
+        for b, moved, row_flips, entry_flips, segment in moves.bands:
             band = o._bands[b]
             act_rows = x[band.rows] ^ row_flips
             active = x[band.col_vars] ^ entry_flips
             for lo in range(0, len(moved), MOVE_CHUNK):
                 chunk = slice(lo, lo + MOVE_CHUNK)
                 totals[moved[chunk, None], band.planes] += self._reread(
-                    band, self._counts[b], act_rows[chunk], active[chunk])[1]
+                    band, self._counts[b], act_rows[chunk], active[chunk], segment)[1]
         return totals
 
     def flip_deltas(self, states, flips) -> np.ndarray:

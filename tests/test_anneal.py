@@ -1,14 +1,16 @@
 """Tests for the multi-epoch annealer, the SA baseline, and trial harnesses."""
 
 import io
+import itertools
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from qubocim import anneal
-from qubocim.anneal import (AnnealConfig, AnnealTrace, derive_seed, flip_indices, mesa_solve,
-                            run_trials, sa_solve, success_rate)
+from qubocim.anneal import (AnnealConfig, AnnealTrace, derive_seed, flip_indices, iter_trials,
+                            mesa_solve, run_trials, sa_solve, success_rate)
 from qubocim.convert import coloring_to_qubo, demo_coloring_instance
 from qubocim.errors import ConfigError
 from qubocim.qubo import QuboProblem, brute_force_minimize, exact_oracle, toggle
@@ -21,6 +23,43 @@ UNIQUE_MIN = QuboProblem(4, {(0, 1): 3.0, (1, 2): -2.0, (2, 3): 4.0, (0, 3): -1.
 class ZeroOracle:
     def __call__(self, x):
         return 0.0
+
+
+class InProcessPool:
+    """A stand-in process pool that runs each submitted trial in this process.
+
+    It records the size it is made with and counts the trials submitted to
+    it, so no test starts the pool that --jobs 100000 once asked for.
+    """
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, arg):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(arg))
+        return future
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The stand-in pools made while the test runs, in order."""
+    made = []
+
+    def make(max_workers):
+        made.append(InProcessPool(max_workers))
+        return made[-1]
+
+    monkeypatch.setattr(anneal, "ProcessPoolExecutor", make)
+    return made
 
 
 class TestConfig:
@@ -182,32 +221,31 @@ class TestHarness:
         for (xa, ea), (xb, eb) in zip(serial, parallel):
             assert ea == eb and np.array_equal(xa, xb)
 
-    def test_pool_has_at_most_one_worker_per_trial(self, monkeypatch):
-        # A stand-in pool that records its size and maps in this process, so
-        # no test starts the pool that --jobs 100000 once asked for.
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work):
-                return map(fn, work)
-
-        monkeypatch.setattr(anneal, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_has_at_most_one_worker_per_trial(self, pools):
         oracle = exact_oracle(UNIQUE_MIN)
         cfg = AnnealConfig(seed=4, max_iters=50)
         pooled = run_trials(oracle, 4, cfg, trials=3, jobs=100_000)
         serial = run_trials(oracle, 4, cfg, trials=3, jobs=1)
-        assert sizes == [3]
+        assert [pool.max_workers for pool in pools] == [3]
         for (xa, ea), (xb, eb) in zip(pooled, serial, strict=True):
             assert ea == eb and np.array_equal(xa, xb)
+
+    def test_pool_keeps_a_few_trials_in_flight(self, pools):
+        # 10**20 trials: a work list, or a pool that submits all of them,
+        # would never yield a record.
+        cfg = AnnealConfig(seed=4, max_iters=20)
+        records = iter_trials(ZeroOracle(), 4, cfg, trials=10**20, jobs=3)
+        for k, record in enumerate(itertools.islice(records, 20)):
+            assert record.index == k
+            assert record.seed == derive_seed(4, k)
+            (pool,) = pools
+            assert pool.max_workers == 3
+            assert k < pool.submitted <= k + 3 * anneal.TRIALS_IN_FLIGHT
+        records.close()
+
+    def test_serial_trials_start_at_once(self):
+        records = iter_trials(ZeroOracle(), 4, AnnealConfig(seed=4, max_iters=20), trials=10**20)
+        assert next(records).index == 0
 
     def test_csv_header(self):
         _, _, trace = sa_solve(ZeroOracle(), 2, AnnealConfig(seed=0, max_iters=3))
@@ -236,7 +274,6 @@ class TestHarness:
             "4,1,-2.5e+17,7.0,-2.5e+17,1,0,1.7976931348623157e+308,3\n")
 
     def test_trial_records_match_direct_solver_runs(self):
-        from qubocim.anneal import iter_trials
         oracle = exact_oracle(UNIQUE_MIN)
         cfg = AnnealConfig(seed=9, max_iters=150)
         records = list(iter_trials(oracle, 4, cfg, trials=3, solver="sa"))
@@ -250,6 +287,5 @@ class TestHarness:
     @pytest.mark.parametrize("trials, jobs, solver", [(0, 1, "mesa"), (1, 0, "mesa"),
                                                       (1, 1, "anneal")])
     def test_trial_settings_rejected_on_call(self, trials, jobs, solver):
-        from qubocim.anneal import iter_trials
         with pytest.raises(ConfigError):
             iter_trials(ZeroOracle(), 2, AnnealConfig(), trials, solver, jobs)

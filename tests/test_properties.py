@@ -38,6 +38,13 @@
   the cell pair of each element holds as many ON cells as its value.
 * A run is reproducible per seed: ``iter_trials`` gives the same records,
   apart from their wall times, in one process and in a pool of two.
+* The solver's own two-index draw is ``Generator.choice``'s: interleaved
+  with uniforms and one-index draws as the annealing loop makes them,
+  ``flip_indices(n, 2, rng)`` returns the indices that ``rng.choice(n, 2,
+  replace=False)`` returns from the same state, and leaves the same state.
+* A trace's CSV text is the text of a nine-field f-string per row, for
+  traces mixing 0.0 and -0.0, infinities, NaN, subnormals, large values
+  and long runs of one value, and for a trace of no rows.
 """
 
 import io
@@ -50,7 +57,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qubocim import qubo
-from qubocim.anneal import SOLVERS, AnnealConfig, iter_trials
+from qubocim.anneal import SOLVERS, AnnealConfig, AnnealTrace, flip_indices, iter_trials
 from qubocim.convert import (FactorizationEncoding, Graph, assignment_for_factors,
                              coloring_to_qubo, decode_factors, pfp_to_qubo)
 from qubocim.errors import EncodingError, UnsupportedInstanceError
@@ -630,3 +637,74 @@ def test_trials_reproduce_in_a_process_pool(data):
     trials, solver = data.draw(st.integers(1, 4)), data.draw(st.sampled_from(SOLVERS))
     assert trial_records(oracle, n, cfg, trials, solver, 1) == \
         trial_records(oracle, n, cfg, trials, solver, 2)
+
+
+@bounded(100)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.sampled_from([2, 3, 30, 800, 2 ** 33]),
+       draws=st.lists(st.sampled_from(["uniform", "one", "two"]), max_size=30))
+def test_two_index_draw_equals_choice(seed, n, draws):
+    ours, numpys = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    for draw in draws + ["two"]:
+        if draw == "uniform":
+            assert ours.random() == numpys.random()
+        elif draw == "one":
+            assert flip_indices(n, 1, ours) == [int(numpys.integers(n))]
+        else:
+            assert flip_indices(n, 2, ours) == numpys.choice(n, 2, replace=False).tolist()
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def f_string_csv(trace: AnnealTrace) -> str:
+    """A trace's CSV text as one nine-field f-string per row: the reference."""
+    def column(values, dtype):
+        return np.asarray(values[:trace.iters_used], dtype=dtype).tolist()
+
+    rows = zip(column(trace.iteration, np.int64), column(trace.epoch, np.int64),
+               column(trace.e_new, np.float64), column(trace.e_o, np.float64),
+               column(trace.e_best, np.float64), column(trace.accepted, np.int64),
+               column(trace.trapped, np.int64),
+               column(trace.temperature, np.float64), column(trace.flips, np.int64))
+    return AnnealTrace.CSV_HEADER + "\n" + "".join(
+        f"{it},{ep},{en!r},{eo!r},{eb!r},{acc},{trap},{t!r},{k}\n"
+        for it, ep, en, eo, eb, acc, trap, t, k in rows)
+
+
+TRACE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),  # equal as floats, so a cache keyed on values would merge them
+    st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+                     2.2250738585072014e-308, 1e16, -1e16, 2.5e17, 1.7976931348623157e308,
+                     0.1, 1 / 3]),
+    st.floats(), st.floats(min_value=1e16), st.integers(-10 ** 6, 10 ** 6).map(float))
+
+
+@st.composite
+def traces(draw):
+    """A trace of up to 120 rows, or of 2,040 to 2,300 so that the writer
+    formats more than one block of rows, each column built of runs of one
+    value; its arrays may run past ``iters_used``."""
+    rows = draw(st.one_of(st.integers(0, 120), st.integers(2040, 2300)))
+    length = rows + draw(st.integers(0, 3))
+
+    def column(values, dtype):
+        runs = draw(st.lists(st.tuples(values, st.integers(1, 200)), min_size=1,
+                             max_size=length + 1))
+        cells = [value for value, repeat in runs for _ in range(repeat)]
+        return np.array((cells * length)[:length], dtype=dtype)
+
+    ints = st.integers(-2 ** 63, 2 ** 63 - 1)
+    return AnnealTrace(iteration=column(ints, np.int64), epoch=column(ints, np.int64),
+                       e_new=column(TRACE_FLOATS, np.float64), e_o=column(TRACE_FLOATS, np.float64),
+                       e_best=column(TRACE_FLOATS, np.float64),
+                       accepted=column(st.booleans(), bool), trapped=column(st.booleans(), bool),
+                       temperature=column(TRACE_FLOATS, np.float64),
+                       flips=column(ints, np.int64), iters_used=rows)
+
+
+@bounded(100)
+@given(trace=traces())
+@example(trace=AnnealTrace(*(np.zeros(0) for _ in range(9))))
+@example(trace=AnnealTrace(*(np.array([0.0, -0.0, 0.0, -0.0]) for _ in range(9)), iters_used=4))
+def test_csv_text_equals_an_f_string_per_row(trace):
+    text = io.StringIO()
+    trace.write_csv(text)
+    assert text.getvalue() == f_string_csv(trace)
