@@ -18,12 +18,17 @@ callable is evaluated in full on every candidate.
 Randomness comes from numpy's PCG64 generator with explicit 64-bit seeding;
 identical (oracle, config, seed) triples reproduce traces bit for bit on one
 machine and numpy/BLAS build (float reductions may round differently
-elsewhere).  The two-index move's draws are defined here, in
-:func:`flip_indices`, as the three bounded-integer draws that numpy 2.x's
-``Generator.choice(n, 2, replace=False)`` makes, so they equal ``choice``'s
-indices and leave the generator in the same state; wider moves call
-``choice`` itself.  Independent trials derive per-trial seeds from
-``(base_seed, trial_index)`` so results do not depend on scheduling.
+elsewhere).  The search's draws are read from blocks of the generator's raw
+PCG64 words (:class:`_BlockDraws`) and equal ``Generator.integers``,
+``Generator.random`` and ``Generator.choice`` on the same stream (checked
+against numpy 2.4.6).
+The two-index move's draws are defined here, in :func:`flip_indices`, as
+the three bounded-integer draws that numpy 2.x's ``Generator.choice(n, 2,
+replace=False)`` makes, so they equal ``choice``'s indices and leave the
+generator in the same state; wider moves call ``choice`` itself.  t0
+calibration and the start state draw through ``Generator`` itself.
+Independent trials derive per-trial seeds from ``(base_seed,
+trial_index)`` so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ CALIBRATION_SAMPLES = 100
 FLIP_RAMP_AFTER = 25  # stagnant iterations before the perturbation widens by one bit
 TRIALS_IN_FLIGHT = 2  # trials submitted to a process pool ahead of the results, per worker
 CSV_BLOCK_ROWS = 2048  # trace rows that AnnealTrace.write_csv formats and joins at a time
+DRAW_BLOCK = 256  # raw PCG64 words that _BlockDraws reads from its generator at a time
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,10 @@ def flip_indices(n: int, k: int, rng: np.random.Generator) -> list[int]:
     below 2 then orders the pair as ``choice``'s shuffle does.  The indices
     and the generator's state after the call equal ``choice``'s.  Three or
     more indices come from ``rng.choice`` itself.
+
+    ``rng`` is a ``Generator`` or anything with its ``integers(n)`` and
+    ``choice``, such as the search's :class:`_BlockDraws`, whose draws
+    equal the generator's.
     """
     if k == 1:
         return [int(rng.integers(n))]
@@ -198,6 +208,113 @@ def flip_indices(n: int, k: int, rng: np.random.Generator) -> list[int]:
             j = n - 1
         return [i, j] if rng.integers(2) else [j, i]
     return rng.choice(n, size=k, replace=False).tolist()
+
+
+class _BlockDraws:
+    """The search draws of one generator, read from blocks of its raw words.
+
+    ``integers(n)``, ``random()`` and ``choice(n, size, replace)`` return
+    the values that the same calls on a PCG64 ``Generator`` would (checked
+    against numpy 2.4.6), from ``DRAW_BLOCK`` words of
+    ``bit_generator.random_raw`` at a time as Python ints, without numpy's
+    per-call overhead.  For ``n <= 2**32`` a bounded integer is Lemire's
+    draw on 32-bit halves, low half first, with the generator's buffered
+    high half (``has_uint32``/``uinteger``) kept here; ``n = 1`` makes no
+    draw.  A uniform is ``(word >> 11) * 2**-53``.
+
+    Every other draw (``integers`` outside ``1..2**32``, and the ``choice``
+    cases named there) puts the generator into the exact state of the draws
+    made so far, asks the generator, and reads a new block from where it
+    left off, so the stream stays the generator's own.
+    """
+
+    __slots__ = ("_gen", "_saved", "_words", "_at", "_has", "_half")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._open()
+
+    def _open(self):
+        """Take over the generator's half-word buffer and read a block from its position."""
+        state = self._gen.bit_generator.state
+        self._has, self._half = state["has_uint32"], state["uinteger"]
+        self._read(state)
+
+    def _read(self, state: dict):
+        # ``state`` is the generator's state before this block, kept for a sync.
+        self._saved = state
+        self._words = self._gen.bit_generator.random_raw(DRAW_BLOCK).tolist()
+        self._at = 0
+
+    def _word(self) -> int:
+        at = self._at
+        if at == DRAW_BLOCK:
+            self._read(self._gen.bit_generator.state)
+            at = 0
+        self._at = at + 1
+        return self._words[at]
+
+    def _uint32(self) -> int:
+        if self._has:
+            self._has = 0
+            return self._half
+        word = self._word()
+        self._has = 1
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n <= 1 << 32:
+            return self.synced(lambda gen: gen.integers(n))
+        if n == 1 << 32:
+            return self._uint32()
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def choice(self, n: int, size: int, replace: bool = True) -> np.ndarray:
+        """``Generator.choice(n, size, replace)`` for an int ``n``.
+
+        Where numpy 2.x samples without replacement by Floyd's algorithm
+        (``size`` of ``1..n``, with ``n <= 10_000`` or ``size <= n // 50``),
+        the draws are made here as numpy makes them: for each ``j`` from
+        ``n - size`` to ``n - 1`` one value below ``j + 1``, or ``j`` itself
+        in place of a value already taken, then a Fisher-Yates shuffle that
+        swaps place ``i`` with one below ``i + 1``, from the last place down.
+        Every other case is the generator's own.
+        """
+        if replace or not 0 < size <= n or (n > 10_000 and size > n // 50):
+            return self.synced(lambda gen: gen.choice(n, size, replace))
+        picked, taken = [], set()
+        for j in range(n - size, n):
+            value = self.integers(j + 1)
+            if value in taken:
+                value = j
+            taken.add(value)
+            picked.append(value)
+        for i in range(size - 1, 0, -1):
+            j = self.integers(i + 1)
+            picked[i], picked[j] = picked[j], picked[i]
+        return np.array(picked, dtype=np.int64)
+
+    def synced(self, draw: Callable[[np.random.Generator], object]):
+        """``draw(generator)``, with the generator in the exact state of the
+        draws made so far; later draws continue from the state it leaves."""
+        bit_generator = self._gen.bit_generator
+        bit_generator.state = {**self._saved, "has_uint32": self._has, "uinteger": self._half}
+        bit_generator.random_raw(self._at)
+        try:
+            return draw(self._gen)
+        finally:
+            self._open()
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -265,6 +382,7 @@ def _anneal(oracle: Oracle, n: int, cfg: AnnealConfig,
     epoch never ends and the move never widens.
     """
     rng, evaluator, t0, x_cur, e_o = _start(oracle, n, cfg)
+    rng = _BlockDraws(rng)
     alpha = cfg.resolved_alpha(n)
     eps = cfg.eps_trap if multi_epoch else 0.0
     count_max = cfg.resolved_count_max(n) if multi_epoch else math.inf
@@ -376,9 +494,8 @@ def check_trials(trials: int, jobs: int, solver: str):
         raise ConfigError(f"unknown solver {solver!r}")
 
 
-def _trial(args) -> TrialRecord:
-    """Worker for one trial; module level so a process pool can pickle it."""
-    oracle, n, cfg, solver, index = args
+def _trial(oracle: Oracle, n: int, cfg: AnnealConfig, solver: str, index: int) -> TrialRecord:
+    """Trial ``index`` of the run, with its derived seed."""
     trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, index))
     # Looked up by module-global name on every call, so replacing
     # ``anneal.mesa_solve`` or ``anneal.sa_solve`` (e.g. with a timing
@@ -401,18 +518,37 @@ def iter_trials(oracle: Oracle, n: int, cfg: AnnealConfig, trials: int,
     ``TRIALS_IN_FLIGHT`` trials per worker that are not yet yielded.
     """
     check_trials(trials, jobs, solver)
-    work = ((oracle, n, cfg, solver, i) for i in range(trials))
-    return map(_trial, work) if jobs == 1 else _pooled(work, min(jobs, trials))
+    run = (oracle, n, cfg, solver)
+    if jobs == 1:
+        return (_trial(*run, i) for i in range(trials))
+    return _pooled(run, trials, min(jobs, trials))
 
 
-def _pooled(work: Iterator[tuple], workers: int) -> Iterator[TrialRecord]:
+# The (oracle, n, cfg, solver) of the run that a pool worker serves, set
+# once per worker process by the pool's initializer.
+_worker_run: tuple = ()
+
+
+def _take_run(*run):
+    global _worker_run
+    _worker_run = run
+
+
+def _worker_trial(index: int) -> TrialRecord:
+    return _trial(*_worker_run, index)
+
+
+def _pooled(run: tuple, trials: int, workers: int) -> Iterator[TrialRecord]:
     # At most one worker per trial: under fork, every worker starts at once.
-    # ``Executor.map`` would submit every item before yielding the first.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # The oracle goes to each worker once, through the initializer; a trial
+    # is sent as its index.  ``Executor.map`` would submit every item
+    # before yielding the first.
+    with ProcessPoolExecutor(max_workers=workers, initializer=_take_run,
+                             initargs=run) as pool:
         window = deque()
         try:
-            for item in work:
-                window.append(pool.submit(_trial, item))
+            for index in range(trials):
+                window.append(pool.submit(_worker_trial, index))
                 if len(window) == workers * TRIALS_IN_FLIGHT:
                     yield window.popleft().result()
             while window:

@@ -28,13 +28,20 @@ class ZeroOracle:
 class InProcessPool:
     """A stand-in process pool that runs each submitted trial in this process.
 
-    It records the size it is made with and counts the trials submitted to
-    it, so no test starts the pool that --jobs 100000 once asked for.
+    It records the size it is made with and the items submitted to it, so
+    no test starts the pool that --jobs 100000 once asked for.  Like a
+    worker process, it runs the initializer before the first trial.
     """
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.max_workers = max_workers
-        self.submitted = 0
+        self.initargs = initargs
+        self.items = []
+        initializer(*initargs)
+
+    @property
+    def submitted(self):
+        return len(self.items)
 
     def __enter__(self):
         return self
@@ -43,7 +50,7 @@ class InProcessPool:
         return False
 
     def submit(self, fn, arg):
-        self.submitted += 1
+        self.items.append(arg)
         future = Future()
         future.set_result(fn(arg))
         return future
@@ -54,11 +61,12 @@ def pools(monkeypatch):
     """The stand-in pools made while the test runs, in order."""
     made = []
 
-    def make(max_workers):
-        made.append(InProcessPool(max_workers))
+    def make(max_workers, initializer, initargs):
+        made.append(InProcessPool(max_workers, initializer, initargs))
         return made[-1]
 
     monkeypatch.setattr(anneal, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(anneal, "_worker_run", anneal._worker_run)  # what the pools' initializer sets
     return made
 
 
@@ -229,6 +237,14 @@ class TestHarness:
         assert [pool.max_workers for pool in pools] == [3]
         for (xa, ea), (xb, eb) in zip(pooled, serial, strict=True):
             assert ea == eb and np.array_equal(xa, xb)
+
+    def test_pool_sends_the_oracle_once_per_worker(self, pools):
+        oracle = exact_oracle(UNIQUE_MIN)
+        cfg = AnnealConfig(seed=4, max_iters=50)
+        run_trials(oracle, 4, cfg, trials=5, jobs=2)
+        (pool,) = pools
+        assert pool.initargs[0] is oracle
+        assert pool.items == list(range(5))  # each trial goes as its index alone
 
     def test_pool_keeps_a_few_trials_in_flight(self, pools):
         # 10**20 trials: a work list, or a pool that submits all of them,

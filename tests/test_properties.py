@@ -42,6 +42,11 @@
   with uniforms and one-index draws as the annealing loop makes them,
   ``flip_indices(n, 2, rng)`` returns the indices that ``rng.choice(n, 2,
   replace=False)`` returns from the same state, and leaves the same state.
+* The solver's block draws are the generator's: after a vector draw that
+  may leave a buffered 32-bit half, mixed runs of ``integers(n)`` (32-bit
+  and 64-bit bounds), ``random()`` and ``flip_indices`` of every width,
+  across block boundaries, return a bare ``Generator``'s values, and the
+  synced generator ends in its state.
 * A trace's CSV text is the text of a nine-field f-string per row, for
   traces mixing 0.0 and -0.0, infinities, NaN, subnormals, large values
   and long runs of one value, and for a trace of no rows.
@@ -56,7 +61,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from qubocim import qubo
+from qubocim import anneal, qubo
 from qubocim.anneal import SOLVERS, AnnealConfig, AnnealTrace, flip_indices, iter_trials
 from qubocim.convert import (FactorizationEncoding, Graph, assignment_for_factors,
                              coloring_to_qubo, decode_factors, pfp_to_qubo)
@@ -652,6 +657,53 @@ def test_two_index_draw_equals_choice(seed, n, draws):
         else:
             assert flip_indices(n, 2, ours) == numpys.choice(n, 2, replace=False).tolist()
     assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+# Bounds of integers(n) for the block draws: one value, Lemire's 32-bit draw
+# (2**31 + 1 rejects about half its first draws, since 2**32 % n is 2**31 - 1),
+# a whole 32-bit half, and the 64-bit draws that go through the generator.
+DRAW_BOUNDS = [1, 2, 3, 30, 800, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+               2 ** 33, 2 ** 62]
+# A step is (kind, argument, repeats); a flip_indices step is (n, k, repeats).
+# numpy's choice takes Floyd's algorithm unless n > 10_000 and k > n // 50,
+# where the block draws hand over to it.
+REPEATS = st.integers(1, 40)
+DRAW_STEP = st.one_of(st.tuples(st.just("integers"), st.sampled_from(DRAW_BOUNDS), REPEATS),
+                      st.tuples(st.just("random"), st.just(0), REPEATS),
+                      st.tuples(st.sampled_from([2, 3, 30, 800]), st.integers(1, 5), REPEATS),
+                      st.tuples(st.sampled_from([800, 10_000, 10_001]),
+                                st.sampled_from([200, 201]), st.just(1)))
+
+
+@bounded(100)
+@given(seed=st.integers(0, 2 ** 64 - 1), head=st.integers(0, 9),
+       block=st.sampled_from([1, 2, 3, 7, anneal.DRAW_BLOCK]),
+       steps=st.lists(DRAW_STEP, max_size=40))
+@example(seed=1, head=1, block=anneal.DRAW_BLOCK,
+         steps=[("random", 0, anneal.DRAW_BLOCK - 1), ("integers", 30, 3), (30, 3, 1),
+                ("integers", 2 ** 31 + 1, anneal.DRAW_BLOCK)])
+def test_block_draws_equal_the_generator(seed, head, block, steps):
+    # ``head`` int8 draws take ceil(head / 4) 32-bit halves, so the block
+    # draws may start with a buffered half.  Short blocks put the block
+    # ends among the draws.
+    ours, numpys = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    for gen in ours, numpys:
+        gen.integers(0, 2, size=head, dtype=np.int8)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anneal, "DRAW_BLOCK", block)
+        ours = anneal._BlockDraws(ours)
+        for kind, arg, repeat in steps:
+            for _ in range(repeat):
+                if kind == "integers":
+                    assert ours.integers(arg) == numpys.integers(arg)
+                elif kind == "random":
+                    assert ours.random() == numpys.random()
+                else:
+                    n, k = kind, min(arg, kind)
+                    expected = (numpys.choice(n, k, replace=False).tolist() if k > 1
+                                else [int(numpys.integers(n))])
+                    assert flip_indices(n, k, ours) == expected
+        assert ours.synced(lambda gen: gen.bit_generator.state) == numpys.bit_generator.state
 
 
 def f_string_csv(trace: AnnealTrace) -> str:
