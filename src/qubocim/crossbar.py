@@ -101,11 +101,11 @@ class AdcParams:
         """
         if self.bits is None:
             return currents, currents
-        levels = (1 << self.bits) - 1
+        levels = float((1 << self.bits) - 1)  # float scalars: numpy mixes them in faster
         codes = currents / full_scale
         codes *= levels
         np.rint(codes, out=codes)
-        np.maximum(codes, 0, out=codes)  # unlike np.clip, turns -0.0 into 0.0
+        np.maximum(codes, 0.0, out=codes)  # unlike np.clip, turns -0.0 into 0.0
         np.minimum(codes, levels, out=codes)
         counts = codes * full_scale
         counts /= levels
@@ -436,17 +436,36 @@ MOVE_PEEK_READS = 1000
 
 
 class _Band(NamedTuple):
-    """Compacted image of one tile band: its live (plane, column) entries only."""
+    """One tile band: its live (plane, column) entries and its ON cells.
+
+    The ON cells are listed row by row, those of local row r at
+    ``row_ptr[r]:row_ptr[r + 1]`` in increasing entry order, each as the
+    position of its (plane, column) in ``entries`` and its ON current;
+    every other cell of a live entry leaks ``off``.  Memory follows the ON
+    cells and the live entries; the dense ``currents`` matrix is built on
+    demand.
+    """
 
     r0: int
     r1: int
-    currents: np.ndarray  # (rows, live entries) cell currents, planes in stack order
     full_scale: float
-    entries: np.ndarray   # flat index plane * n_cols + column of each live entry
-    rows: np.ndarray      # variable of each physical row
-    col_vars: np.ndarray  # column variable of each live entry
-    starts: np.ndarray    # first live entry of each plane present (entries sort by plane)
-    planes: np.ndarray    # the plane of each of those segments
+    entries: np.ndarray       # flat index plane * n_cols + column of each live entry
+    entry_planes: np.ndarray  # plane of each live entry
+    rows: np.ndarray          # variable of each physical row
+    col_vars: np.ndarray      # column variable of each live entry
+    starts: np.ndarray        # first live entry of each plane present (entries sort by plane)
+    planes: np.ndarray        # the plane of each of those segments
+    row_ptr: np.ndarray       # first ON cell of each local row, then the number of cells
+    cell_entry: np.ndarray    # position in entries of each ON cell
+    cell_current: np.ndarray  # ON current of each ON cell
+    off: float                # OFF leakage of every other cell
+
+    @property
+    def currents(self) -> np.ndarray:
+        """(rows, live entries) cell currents, planes in stack order."""
+        rows = self.r1 - self.r0
+        return _dense((rows, len(self.entries)), np.repeat(np.arange(rows), np.diff(self.row_ptr)),
+                      self.cell_entry, self.cell_current, self.off)
 
 
 class HwOracle:
@@ -457,15 +476,17 @@ class HwOracle:
     kept off-chip.  Device samples are drawn once at construction, so the
     oracle is deterministic for a given seed and safe to query concurrently.
 
-    Each tile band keeps only its live (plane, column) entries, those with
-    an ON cell in some row of the band, as one ``(rows, live)`` matrix built
-    from the planes' ON-cell lists, so an evaluation is one matvec per band
-    over the live entries.  A dead entry holds OFF leakage only; it is
-    dropped only when the band's worst-case leakage, all rows active, reads
-    as count 0, so it would read 0 in every state.  Otherwise (an ideal or
-    a fine ADC, heavy leakage) every entry is live and the matrix is the
-    band's planes side by side.  Cell currents lie on the stack's grid, so
-    a band read is exact in any summation order: its currents, and so its
+    Each tile band keeps its live (plane, column) entries, those with an ON
+    cell in some row of the band, and its ON cells row by row (see
+    :class:`_Band`), so the oracle's memory follows the ON cells and the
+    live entries, not rows times entries.  A dead entry holds OFF leakage
+    only; it is dropped only when the band's worst-case leakage, all rows
+    active, reads as count 0, so it would read 0 in every state.  Otherwise
+    (an ideal or a fine ADC, heavy leakage) every entry is live.  A read
+    of one state sums, per live entry, the ON currents of the active rows'
+    cells and the OFF leakage of its other active cells.  Cell currents lie
+    on the stack's grid and each of these sums is bounded by a plane sum,
+    so a read is exact in any summation order: its currents, and so its
     ADC counts, equal those of :func:`vmv` on the same stack bit for bit.
     :meth:`evaluator` gives the solver delta evaluation that reproduces
     ``__call__`` bit for bit.
@@ -483,7 +504,8 @@ class HwOracle:
         self._constant = compressed.constant
         self._weights = np.array([p.sign * p.weight for p in stack.planes])
         # Every ON cell of the stack, sorted by physical row, keyed by its
-        # flat entry index plane * n_cols + column.
+        # flat entry index plane * n_cols + column; within a row the keys
+        # increase, since each plane lists its cells in row-major order.
         rows = np.concatenate([p.rows for p in stack.planes])
         by_row = np.argsort(rows, kind="stable")
         rows = rows[by_row]
@@ -499,20 +521,20 @@ class HwOracle:
             is_live = np.full(len(stack.planes) * stack.n_cols, leak_reads)
             is_live[keys[a:b]] = True
             entries = np.flatnonzero(is_live)
-            currents = np.full((r1 - r0, len(entries)), stack.off_current)
-            currents[rows[a:b] - r0, np.searchsorted(entries, keys[a:b])] = on_currents[a:b]
             planes, cols = np.divmod(entries, stack.n_cols)
             starts = np.flatnonzero(np.diff(planes, prepend=-1))
-            self._bands.append(_Band(r0, r1, currents, full_scale, entries,
-                                     self._phys_rows[r0:r1], self._cols[cols],
-                                     starts, planes[starts]))
-        # For delta evaluation: the bands each variable drives as a row
-        # variable, and its column index (-1 when it is not a column variable).
-        self._var_bands: list[list[int]] = [[] for _ in range(self.n)]
-        for r, var in enumerate(self._phys_rows.tolist()):
-            band = r // stack.tile_rows
-            if band not in self._var_bands[var]:
-                self._var_bands[var].append(band)
+            self._bands.append(_Band(
+                r0, r1, full_scale, entries, planes, self._phys_rows[r0:r1], self._cols[cols],
+                starts, planes[starts], np.searchsorted(rows[a:b], np.arange(r0, r1 + 1)),
+                np.searchsorted(entries, keys[a:b]), on_currents[a:b], stack.off_current))
+        # For delta evaluation: the ON cells of each variable's physical rows,
+        # (band number, first cell, end cell) per row, and its column index
+        # (-1 when it is not a column variable).
+        self._var_rows: list[tuple[tuple[int, int, int], ...]] = [()] * self.n
+        for b, band in enumerate(self._bands):
+            ptr = band.row_ptr.tolist()
+            for r, var in enumerate(band.rows.tolist()):
+                self._var_rows[var] += ((b, ptr[r], ptr[r + 1]),)
         self._col_of = np.full(self.n, -1, dtype=np.intp)
         self._col_of[self._cols] = np.arange(len(self._cols))
 
@@ -530,33 +552,47 @@ class HwOracle:
             raise DimensionError(f"expected length {self.n}, got shape {bits.shape}")
         return bits
 
-    def _live_counts(self, band: _Band, act_rows) -> np.ndarray:
-        """ADC counts of the live entries of one band, every column active.
+    def _adc_counts(self, band: _Band, currents) -> np.ndarray:
+        """ADC counts of currents of ``band``'s live entries, or of some of
+        them: one state as a vector, or one state per row of a matrix."""
+        return self.adc.read(currents, band.full_scale)[1]
 
-        ``act_rows`` holds the row activations (0.0 or 1.0) of that band,
-        one state as a vector or one state per row of a matrix.
+    @staticmethod
+    def _currents(band: _Band, act) -> np.ndarray:
+        """Currents of the live entries of ``band``, every column active, for
+        the row activations ``act`` (0.0 or 1.0) of one state.
+
+        Per entry, the ON currents of the active rows' cells plus the OFF
+        leakage of its other active cells.  Each term and each partial sum
+        is bounded by a plane sum, so on the grid the sum is exact.
         """
-        return self.adc.read(act_rows @ band.currents, band.full_scale)[1]
+        live = len(band.entries)
+        on = np.repeat(act, np.diff(band.row_ptr))  # 1.0 at the ON cells of active rows
+        off_cells = act.sum() - np.bincount(band.cell_entry, on, minlength=live)
+        return (np.bincount(band.cell_entry, on * band.cell_current, minlength=live)
+                + off_cells * band.off)
 
-    def _read(self, bits) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    def _read(self, bits) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, list[np.ndarray]]:
         """Read every band for state ``bits``, every column active.
 
         Returns the live counts of each band, their (planes, columns) sums
-        over the bands (one scatter-add per band; dead entries read 0) and
-        the per-plane totals over the active columns.  Counts are integers,
-        or grid currents under an ideal ADC, so every one of these sums is
-        exact.
+        over the bands (one scatter-add per band; dead entries read 0), the
+        per-plane totals over the active columns, and the live currents of
+        each band.  Counts are integers, or grid currents under an ideal
+        ADC, so every one of these sums is exact.
         """
         act_rows = bits[self._phys_rows].astype(np.float64)
         col_counts = np.zeros((len(self._weights), self.stack.n_cols))
         flat = col_counts.reshape(-1)
-        counts = []
+        counts, currents = [], []
         for band in self._bands:
-            live = self._live_counts(band, act_rows[band.r0:band.r1])
+            band_currents = self._currents(band, act_rows[band.r0:band.r1])
+            live = self._adc_counts(band, band_currents)
             flat[band.entries] += live  # a band lists each entry once
             counts.append(live)
+            currents.append(band_currents)
         active = np.flatnonzero(bits[self._cols] == 1)
-        return counts, col_counts, col_counts.take(active, axis=1).sum(axis=1)
+        return counts, col_counts, col_counts.take(active, axis=1).sum(axis=1), currents
 
     def _energy(self, bits, total) -> float:
         """Energy of state ``bits`` from its per-plane count ``total``.
@@ -591,26 +627,37 @@ class _Moves(NamedTuple):
 class HwEvaluator:
     """Delta evaluation of a :class:`HwOracle`.
 
-    The counts of every band's live entries are cached, all columns
-    included, together with their per-(plane, column) sums over the bands,
-    as :meth:`HwOracle._read` returns them.  Every move is evaluated by one
-    read, :meth:`_reread`: a band that holds a flipped row variable is read
-    again, through ``HwOracle._live_counts``, for the new states' row
-    activations, and the per-plane sums of its count changes over the new
-    states' active columns are returned.  A move's per-plane totals are the
-    base totals, plus or minus the base column sums of its flipped column
-    variables (plus where it turns one on), plus those sums over its
-    re-read bands; its energy is ``HwOracle._energy`` of them.  Counts are
-    integers, or grid currents under an ideal ADC, and band reads are exact
-    on the grid, so every sum is exact whatever its order and each energy
-    equals ``oracle(y)`` bit for bit.  A peek is one such move; a commit
-    applies the peeked bands' count changes to the column sums in place.
+    The currents and ADC counts of every band's live entries are cached for
+    the current state, all columns included, together with the counts'
+    per-(plane, column) sums over the bands, as :meth:`HwOracle._read`
+    returns them.  A move reads each band its row variables drive once,
+    through ``HwOracle._adc_counts``.  Where it flips one physical row of
+    band b, let k be +1 if the row turns on and -1 if it turns off.  An
+    entry with no ON cell in that row moves by exactly ``k * off``, so its
+    count changes by the band's shift ``read(currents + k * off) -
+    counts``, worked out once per band state and k, in the ADC read of the
+    first move that needs it, and under a quantizing ADC almost always
+    zero.  Only the entries of the row's ON cells are read, at their cached
+    currents plus those cells' ON currents, so the read costs per ON cell
+    of the row, not per live entry.  A move that flips more rows of one
+    band, and every move on a band whose dense currents a move layout
+    keeps (on small arrays, below), reads that band afresh instead.  A
+    move's per-plane totals are the base totals, plus or minus the base
+    column sums of its flipped column variables (plus where it turns one
+    on), plus the count changes over the new state's active columns.
+    Currents lie on the grid and each sum is bounded by plane sums, counts
+    are integers or grid currents, so every energy equals ``oracle(y)`` bit
+    for bit.  A peek is one such move; a commit moves the cached currents
+    and counts of its bands to the new state, updates the column sums at
+    the changed entries only and drops those bands' shifts.
 
     A stuck annealer peeks one move after another at the same state.  When
     a width w has at most ``MOVE_TABLE_MAX`` moves, ``C(n, w)``, a move
     table holds the per-plane totals of all of them at once, each band read
     for the moves that flip one of its row variables, ``MOVE_CHUNK`` moves
-    per ``(moves, rows) @ (rows, live)`` product.  A width-w peek that is at
+    per ``(moves, rows) @ (rows, live)`` product with the band's dense
+    currents, which the first layout built at a band keeps for the
+    evaluator's lifetime.  A width-w peek that is at
     least the k-th peek at one state, of any width, builds the table,
     ``k = max(2, products + ceil(reads / (w * MOVE_PEEK_READS)))`` for a
     table of ``products`` band products over ``reads`` live entries: a
@@ -624,11 +671,13 @@ class HwEvaluator:
     def __init__(self, oracle: HwOracle):
         self._oracle = oracle
         self._moves: dict[int, _Moves | None] = {}  # by width; None above the cap
+        self._blocks: dict[int, np.ndarray] = {}  # dense currents of the bands move layouts read
 
     def reset(self, x, energy: float | None = None) -> float:
         o = self._oracle
         self._x = o._bits(x).copy()
-        self._counts, self._col_counts, self._total = o._read(self._x)
+        self._counts, self._col_counts, self._total, self._currents = o._read(self._x)
+        self._shifts: list[dict] = [{} for _ in o._bands]  # per band: k -> shift, None if zero
         self._energy = o._energy(self._x, self._total) if energy is None else energy
         self._drop_tables()
         return self._energy
@@ -637,65 +686,128 @@ class HwEvaluator:
         self._tables: dict[int, np.ndarray] = {}  # per-move totals by width
         self._peeks = 0  # at this state, of any width
 
-    def _reread(self, band: _Band, base, act_rows, active,
+    def _reread(self, band: _Band, block, base, act_rows, active,
                 segment=None) -> tuple[np.ndarray, np.ndarray]:
-        """Read ``band`` for new states; returns their fresh live counts and,
-        for each plane of ``band.planes``, the sums of ``(fresh - base) *
-        active`` over the plane's live entries.
+        """Read ``band``, whose dense currents are ``block``, for new states;
+        returns their fresh live counts and, for each plane of
+        ``band.planes``, the sums of ``(fresh - base) * active`` over the
+        plane's live entries.
 
         ``act_rows`` holds the new states' activations of the band's rows
         and ``active`` their activations of its live entries' columns, one
-        state as a vector or one state per row; ``base`` holds the counts
-        the states are moved from, one row for all or one row per state.
-        Given ``segment``, the ``(live, planes)`` 0/1 indicator of each live
-        entry's plane, a move table's layout holds, the sums are one product
-        with it rather than an ``np.add.reduceat``; the summands are integers
-        or grid currents, so both give the same sums.
+        state per row; ``base`` holds the counts the states are moved from,
+        one row for all or one row per state.  Given ``segment``, the
+        ``(live, planes)`` 0/1 indicator of each live entry's plane, a move
+        table's layout holds, the sums are one product with it rather than
+        an ``np.add.reduceat``; the summands are integers or grid currents,
+        so both give the same sums.
         """
-        fresh = self._oracle._live_counts(band, act_rows.astype(np.float64))
+        fresh = self._oracle._adc_counts(band, act_rows.astype(np.float64) @ block)
         change = fresh - base
         change *= active
         if segment is not None:
             return fresh, change @ segment
         return fresh, np.add.reduceat(change, band.starts, axis=-1)
 
-    def _move(self, y, flips) -> tuple[np.ndarray, dict]:
+    def _move(self, y, flips) -> tuple[np.ndarray, list]:
         """Per-plane totals of state ``y``, ``flips`` away from this state, and
-        the fresh counts of the bands it re-reads, by band number."""
+        the reads of the bands whose rows it flips (see :meth:`_read_band`)."""
         o = self._oracle
         total = self._total.copy()
+        runs: dict[int, list] = {}  # band number -> (first cell, end cell, sign) per flipped row
         for i in flips:
+            sign = 1 if y[i] else -1
             c = o._col_of[i]
             if c >= 0:
-                total += self._col_counts[:, c] if y[i] else -self._col_counts[:, c]
-        fresh = {}
-        for b in {b for i in flips for b in o._var_bands[i]}:
-            band = o._bands[b]
-            fresh[b], sums = self._reread(band, self._counts[b], y[band.rows], y[band.col_vars])
-            total[band.planes] += sums
-        return total, fresh
+                if sign > 0:
+                    total += self._col_counts[:, c]
+                else:
+                    total -= self._col_counts[:, c]
+            for b, lo, hi in o._var_rows[i]:
+                runs.setdefault(b, []).append((lo, hi, sign))
+        return total, [self._read_band(b, band_runs, y, total) for b, band_runs in runs.items()]
+
+    def _read_band(self, b: int, runs: list, y, total) -> tuple:
+        """Read band ``b`` for state ``y``, whose flipped rows hold the ON cells
+        ``runs`` lists, and add its count changes over y's active columns to
+        ``total``.  Returns ``(b, k, at, currents, counts, change, shift)``:
+        the entries read (None for all), their new currents, counts and
+        count changes, and the band's shift for k (None where it is zero).
+
+        One flipped row reads the entries of its ON cells, which are
+        distinct, and the shift.  More rows, or a band whose dense currents
+        a move layout keeps (on a small array), read the whole band afresh.
+        """
+        o = self._oracle
+        band, counts, block = o._bands[b], self._counts[b], self._blocks.get(b)
+        if block is not None or len(runs) > 1:
+            act = y[band.rows].astype(np.float64)
+            fresh_currents = act @ block if block is not None else o._currents(band, act)
+            fresh = o._adc_counts(band, fresh_currents)
+            change = fresh - counts
+            total[band.planes] += np.add.reduceat(change * y[band.col_vars], band.starts)
+            return b, 0, None, fresh_currents, fresh, change, None
+        (lo, hi, k), = runs
+        currents, shifts = self._currents[b], self._shifts[b]
+        at = band.cell_entry[lo:hi]
+        fresh_currents = currents[at]
+        if k > 0:
+            fresh_currents += band.cell_current[lo:hi]
+        else:
+            fresh_currents -= band.cell_current[lo:hi]
+        if k in shifts:
+            shift = shifts[k]
+            fresh = o._adc_counts(band, fresh_currents)
+        else:
+            both = o._adc_counts(band, np.concatenate([currents + k * band.off, fresh_currents]))
+            shift, fresh = both[:len(counts)] - counts, both[len(counts):]
+            shifts[k] = shift = shift if np.count_nonzero(shift) else None
+        change = fresh - counts[at]
+        total += np.bincount(band.entry_planes[at], change * y[band.col_vars[at]],
+                             minlength=len(total))
+        if shift is not None:
+            rest = shift * y[band.col_vars]
+            rest[at] = 0.0
+            total[band.planes] += np.add.reduceat(rest, band.starts)
+        return b, k, at, fresh_currents, fresh, change, shift
 
     def peek(self, flips) -> float:
         y = self._x.copy()
         toggle(y, flips)
         table = self._table(len(flips))
         if table is None:
-            total, fresh = self._move(y, flips)
+            total, moved = self._move(y, flips)
         else:
-            total, fresh = table[self._moves[len(flips)].index[tuple(sorted(flips))]], None
+            total, moved = table[self._moves[len(flips)].index[tuple(sorted(flips))]], None
         energy = self._oracle._energy(y, total)
-        self._pending = (flips, y, fresh, total, energy)
+        self._pending = (flips, y, moved, total, energy)
         return energy
 
     def commit(self):
-        flips, y, fresh, total, energy = self._pending
-        del self._pending  # the column sums below change in place: commit once per peek
-        if fresh is None:  # served from a table
-            fresh = self._move(y, flips)[1]
+        flips, y, moved, total, energy = self._pending
+        del self._pending  # the cached state below changes in place: commit once per peek
+        if moved is None:  # served from a table
+            moved = self._move(y, flips)[1]
         flat = self._col_counts.reshape(-1)
-        for b, counts in fresh.items():
-            flat[self._oracle._bands[b].entries] += counts - self._counts[b]
-            self._counts[b] = counts
+        for b, k, at, fresh_currents, fresh, change, shift in moved:
+            band = self._oracle._bands[b]
+            counts = self._counts[b]
+            if at is None:  # read in full
+                currents, self._counts[b] = fresh_currents, fresh
+                flat[band.entries] += change
+            else:
+                currents = self._currents[b] + k * band.off
+                currents[at] = fresh_currents
+                if shift is None:
+                    flat[band.entries[at]] += change
+                    counts[at] = fresh
+                else:
+                    new = counts + shift
+                    new[at] = fresh
+                    flat[band.entries] += new - counts
+                    self._counts[b] = new
+            self._currents[b] = currents
+            self._shifts[b] = {}
         self._x, self._total, self._energy = y, total, energy
         self._drop_tables()
 
@@ -723,7 +835,9 @@ class HwEvaluator:
             moves = np.flatnonzero(row_flips.any(axis=1))
             if moves.size:
                 entry_flips = (band.col_vars[:, None] == flips[moves, None, :]).any(axis=2)
-                segment = (band.entries // o.stack.n_cols)[:, None] == band.planes
+                segment = band.entry_planes[:, None] == band.planes
+                if b not in self._blocks:
+                    self._blocks[b] = band.currents
                 bands.append((b, moves, row_flips[moves].view(np.int8), entry_flips.view(np.int8),
                               segment.astype(np.float64)))
                 products += -(-moves.size // MOVE_CHUNK)
@@ -742,31 +856,32 @@ class HwEvaluator:
         for flipped in moves.flips.T:  # one flipped variable of every move at a time
             totals += signed[flipped]
         for b, moved, row_flips, entry_flips, segment in moves.bands:
-            band = o._bands[b]
+            band, block = o._bands[b], self._blocks[b]
             act_rows = x[band.rows] ^ row_flips
             active = x[band.col_vars] ^ entry_flips
             for lo in range(0, len(moved), MOVE_CHUNK):
                 chunk = slice(lo, lo + MOVE_CHUNK)
                 totals[moved[chunk, None], band.planes] += self._reread(
-                    band, self._counts[b], act_rows[chunk], active[chunk], segment)[1]
+                    band, block, self._counts[b], act_rows[chunk], active[chunk], segment)[1]
         return totals
 
     def flip_deltas(self, states, flips) -> np.ndarray:
         """``E(x with bit i toggled) - E(x)`` for each row ``x`` of ``states`` and ``i`` of ``flips``.
 
-        Every band is read for ``BATCH_STATES`` base states at a time, one
-        ``(states, rows) @ (rows, live)`` product through the kernel of
-        ``__call__``, and each base state's per-plane totals sum its counts
-        over its active columns.  Each flipped state is then one move from
-        its own base state, evaluated as :meth:`peek` evaluates one: the
-        bands its flipped variable drives as a row variable go through
+        Every band's dense ``(rows, live)`` currents are built once per call,
+        from its ON cells, and held while that band is read: for
+        ``BATCH_STATES`` base states at a time, one ``(states, rows) @
+        (rows, live)`` product and one ADC read, and each base state's
+        per-plane totals sum its counts over its active columns.  Each
+        flipped state is then one move from its own base state: the bands
+        its flipped variable drives as a row variable go through
         :meth:`_reread` for those states only, and the base's counts in its
         flipped column, gathered band by band, give the column term.  On the
-        grid the batched product reads the currents of a single one, and
-        counts are integers or grid currents, so every sum is exact in any
-        order; every energy goes through :meth:`HwOracle._energy`.  So each
-        delta equals ``peek([i]) - reset(x)`` bit for bit.  The evaluator's
-        own state is left as it was.
+        grid a product reads the currents of a single-state read bit for
+        bit, and counts are integers or grid currents, so every sum is exact
+        in any order; every energy goes through :meth:`HwOracle._energy`.
+        So each delta equals ``peek([i]) - reset(x)`` bit for bit.  The
+        evaluator's own state is left as it was.
         """
         o = self._oracle
         base = np.asarray(states, dtype=np.int8)
@@ -781,7 +896,7 @@ class HwEvaluator:
         signs = np.where(flip_cols >= 0, 2.0 * flipped[np.arange(len(flips)), flips] - 1.0, 0.0)
         drives = np.zeros((len(o._bands), len(flips)), dtype=bool)
         for s, i in enumerate(flips.tolist()):
-            drives[o._var_bands[i], s] = True
+            drives[[b for b, _, _ in o._var_rows[i]], s] = True
         totals = np.zeros((len(flips), len(o._weights)))  # of the base states
         changes = np.zeros_like(totals)  # of each flipped state's totals from its base's
         for band, again in zip(o._bands, drives):
@@ -792,9 +907,10 @@ class HwEvaluator:
             keys = seg_planes[:, None] * o.stack.n_cols + flip_cols
             at = np.minimum(np.searchsorted(band.entries, keys), len(band.entries) - 1)
             signed = np.where(band.entries[at] == keys, signs, 0.0)
+            block = band.currents
             for lo in range(0, len(flips), BATCH_STATES):
                 chunk = slice(lo, lo + BATCH_STATES)
-                counts = o._live_counts(band, base[chunk, rows].astype(np.float64))
+                counts = o._adc_counts(band, base[chunk, rows].astype(np.float64) @ block)
                 totals[chunk, seg_planes] += np.add.reduceat(counts * base[chunk, cols], starts,
                                                              axis=1)
                 changes[chunk, seg_planes] += (
@@ -803,7 +919,7 @@ class HwEvaluator:
                 if reread.size:
                     y = flipped[reread]
                     changes[reread[:, None], seg_planes] += self._reread(
-                        band, counts[reread - lo], y[:, rows], y[:, cols])[1]
+                        band, block, counts[reread - lo], y[:, rows], y[:, cols])[1]
         deltas = np.empty(len(flips))
         for s, (x, y) in enumerate(zip(base, flipped)):
             deltas[s] = o._energy(y, totals[s] + changes[s]) - o._energy(x, totals[s])

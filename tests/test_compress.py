@@ -271,11 +271,9 @@ class TestQprimeOwnership:
     def test_hw_path_builds_no_dense_qprime(self):
         """compress plus make_hw_oracle allocate far less than one dense p x q Q'.
 
-        The oracle keeps, per tile band, a (tile rows x live entries) current
-        matrix: 32 cells per ON cell of each bit plane, 0.10 p*q*8 bytes per
-        plane at this instance's density.  One plane (``bits=1``) leaves room
-        under the bound, and any dense p x q float64, int64 or bool array
-        would break it.
+        The oracle keeps a few words per ON cell and per live (plane, column)
+        entry of each tile band, and any dense p x q float64, int64 or bool
+        array would break the bound.
         """
         rng = np.random.default_rng(3)
         n = 1500

@@ -163,6 +163,15 @@ def batch_cases():
     return cases
 
 
+def test_walks_without_move_tables_read_incrementally(monkeypatch):
+    """Without move layouts no band has dense currents, so every peek reads
+    its flipped rows' ON cells and the band's shift."""
+    monkeypatch.setattr(crossbar, "MOVE_TABLE_MAX", 0)
+    for seed, (name, oracle) in enumerate(batch_cases()):
+        for got, want in walk(oracle, oracle.n, seed):
+            assert got == want, name
+
+
 class TestFlipDeltas:
     """``flip_deltas`` equals the reset/peek loop bit for bit."""
 
@@ -214,15 +223,17 @@ class TestFlipDeltas:
 
 
 def count_band_reads(oracle):
-    """Wrap the oracle's band kernel; returns the list its calls append to."""
+    """Wrap the oracle's ADC read of a band's currents, which every band
+    read passes through; returns the list its calls append to, the number
+    of states each call reads."""
     calls = []
-    kernel = oracle._live_counts
+    kernel = oracle._adc_counts
 
-    def counted(band, act_rows):
-        calls.append(len(act_rows) if act_rows.ndim == 2 else 1)
-        return kernel(band, act_rows)
+    def counted(band, currents):
+        calls.append(len(currents) if currents.ndim == 2 else 1)
+        return kernel(band, currents)
 
-    oracle._live_counts = counted
+    oracle._adc_counts = counted
     return calls
 
 
@@ -409,6 +420,44 @@ class TestLiveEntries:
             assert np.array_equal(band.currents, dense)
         for got, want in walk(oracle, q.n, 1):
             assert got == want
+
+
+def held_bytes(obj, seen) -> int:
+    """Bytes of the numpy arrays reachable from ``obj`` and not in ``seen``."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(held_bytes(v, seen) for v in obj)
+    if isinstance(obj, dict):
+        return sum(held_bytes(v, seen) for v in obj.values())
+    return sum(held_bytes(v, seen) for v in vars(obj).values()) if hasattr(obj, "__dict__") else 0
+
+
+def test_hw_memory_follows_on_cells_and_live_entries():
+    """An oracle, its bands and an evaluator that has reset and peeked hold
+    a few words per ON cell and per live entry, not a (rows, live) current
+    image per band, which took 241 bytes per ON cell on this instance."""
+    rng = np.random.default_rng(3)
+    n = 1500
+    pairs = {(int(min(u, v)), int(max(u, v)))
+             for u, v in rng.integers(0, n, size=(3100, 2)) if u != v}
+    c, _ = compress(maxcut_to_qubo(Graph.from_edges(n, sorted(pairs)[:3000]))[0])
+    oracle = make_hw_oracle(c, bits=3)
+    evaluator = oracle.evaluator()
+    x = rng.integers(0, 2, size=n, dtype=np.int8)
+    evaluator.reset(x)
+    for i in range(0, 40, 2):
+        peek_checked(evaluator, oracle, x, [int(oracle._rows[i])])
+    seen = set()
+    held_bytes(c, seen)  # the compressed input is not the crossbar's
+    held = held_bytes(oracle, seen) + held_bytes(evaluator, seen)
+    on_cells = sum(p.rows.size for p in oracle.stack.planes)
+    live = sum(band.entries.size for band in oracle._bands)
+    assert on_cells > 5000 and live > 5000
+    assert held < 64 * (on_cells + live)
 
 
 class TestExactEvaluator:

@@ -21,6 +21,13 @@
   below ``2**53`` grid steps, and a band's batched read for many states
   equals its per-state reads and its row-by-row sums in reverse row order,
   bit for bit, under any spread, die offset, leakage and tiling.
+* Incremental band reads equal full reads: along a walk of peeks of one to
+  three flips, commits and resets on a generated array without move tables
+  (so no dense band currents), with a quantizing or the ideal ADC,
+  negative ON currents, leakage up to 0.99 and ternary pairs split across
+  bands, every peek equals ``oracle(y)``, every full read's currents equal
+  the dense band product, and after each commit the evaluator's cached
+  currents, counts and column sums equal a fresh read.
 * The term arrays of a problem are the terms a dict would merge, exactly:
   mirrors and repeats summed in input order, exact cancellations dropped,
   and diagonal, out-of-range and non-finite terms rejected.
@@ -61,7 +68,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from qubocim import anneal, qubo
+from qubocim import anneal, crossbar, qubo
 from qubocim.anneal import SOLVERS, AnnealConfig, AnnealTrace, flip_indices, iter_trials
 from qubocim.convert import (FactorizationEncoding, Graph, assignment_for_factors,
                              coloring_to_qubo, decode_factors, pfp_to_qubo)
@@ -327,6 +334,98 @@ def test_band_reads_are_exact_on_the_grid(oracle, seed):
         for r in reversed(range(rows)):
             reversed_order += act[:, r:r + 1] * band.currents[r]
         assert np.array_equal(batched, reversed_order)
+
+
+@st.composite
+def incremental_walks(draw):
+    """An oracle over a random matrix as in :func:`grid_oracles`, on row and
+    column variables that may overlap, with a quantizing ADC of 1-6 bits
+    (its full scale default or drawn, so that it may clip) or the ideal one,
+    and a walk of ``("peek", flips, commit)`` and ``("reset", x, None)``
+    steps.  Ternary arrays get odd tile heights, so that some cell pairs
+    straddle two bands."""
+    ternary = draw(st.booleans())
+    p, q = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    n = max(p, q) + draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 3, size=(p, q)) if ternary else rng.integers(-40, 41, size=(p, q))
+    matrix = np.where(rng.random((p, q)) < draw(st.floats(0, 1)), values, 0).astype(np.float64)
+    compressed = CompressedQubo(tuple(rng.permutation(n)[:p].tolist()),
+                                tuple(rng.permutation(n)[:q].tolist()), matrix,
+                                rng.integers(-3, 4, size=n).astype(np.float64), 0.0, n)
+    spread = st.one_of(st.just(0.0), st.floats(0, 2))
+    dev = DeviceParams(i_on_rel_sigma=draw(spread), die_offset_sigma=draw(spread),
+                       i_off_ratio=draw(st.one_of(st.just(0.0), st.floats(0, 0.99))))
+    adc_bits = draw(st.one_of(st.none(), st.integers(1, 6)))
+    full_scale = None if adc_bits is None else draw(st.one_of(st.none(), st.floats(0.25, 8)))
+    tile_rows = draw(st.integers(1, 40))
+    oracle = make_hw_oracle(compressed, bits=draw(st.integers(1, 6)), ternary=ternary, dev=dev,
+                            adc=AdcParams(bits=adc_bits, full_scale=full_scale),
+                            seed=draw(st.integers(0, 2**16)),
+                            tile_rows=tile_rows | 1 if ternary else tile_rows,
+                            tile_cols=draw(st.integers(1, 40)))
+    state = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+        lambda bits: np.array(bits, dtype=np.int8))
+    steps = [("reset", draw(state), None)]
+    for _ in range(draw(st.integers(1, 40))):
+        if draw(st.integers(0, 9)) == 0:
+            steps.append(("reset", draw(state), None))
+        else:
+            flips = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+            steps.append(("peek", flips, draw(st.booleans())))
+    return oracle, steps
+
+
+def assert_cache_is_a_full_read(evaluator, oracle, x):
+    counts, col_counts, total, currents = oracle._read(x)
+    for cached, fresh in ((evaluator._currents, currents), (evaluator._counts, counts)):
+        assert all(np.array_equal(a, b) for a, b in zip(cached, fresh, strict=True))
+    assert np.array_equal(evaluator._col_counts, col_counts)
+    assert np.array_equal(evaluator._total, total)
+
+
+def tiny_currents_under_heavy_leakage():
+    """A ternary element 2 whose ON currents, about 0.01 after a die offset
+    near -1, lie far below the 0.99 leakage.  A read that adds the leakage
+    of every active row and takes it back at the ON cells rounds here."""
+    compressed = CompressedQubo((0,), (1,), np.array([[2.0]]), np.zeros(2), 0.0, 2)
+    oracle = make_hw_oracle(compressed, ternary=True, seed=59, tile_rows=3,
+                            dev=DeviceParams(i_on_rel_sigma=0.01, die_offset_sigma=1.0,
+                                             i_off_ratio=0.99), adc=AdcParams(bits=None))
+    return oracle, [("reset", np.ones(2, dtype=np.int8), None), ("peek", [0], True),
+                    ("peek", [0], True), ("peek", [1], False)]
+
+
+@bounded(60)
+@given(case=incremental_walks())
+@example(case=tiny_currents_under_heavy_leakage())
+def test_incremental_band_reads_equal_a_full_read(case):
+    oracle, steps = case
+    with pytest.MonkeyPatch.context() as patch:
+        # No move layouts, whose dense band currents would serve every read.
+        patch.setattr(crossbar, "MOVE_TABLE_MAX", 0)
+        incremental_walk(oracle, steps)
+
+
+def incremental_walk(oracle, steps):
+    evaluator = oracle.evaluator()
+    x = None
+    for step, arg, commit in steps:
+        if step == "reset":
+            x = arg.copy()
+            assert evaluator.reset(x) == oracle(x)
+            act = x[oracle._phys_rows].astype(np.float64)
+            for band, currents in zip(oracle._bands, oracle._read(x)[3], strict=True):
+                assert np.array_equal(currents, act[band.r0:band.r1] @ band.currents)
+            continue
+        y = x.copy()
+        y[arg] ^= 1
+        assert evaluator.peek(arg) == oracle(y)
+        if commit:
+            evaluator.commit()
+            x = y
+            assert_cache_is_a_full_read(evaluator, oracle, x)
+    assert not evaluator._blocks
 
 
 def dict_merge(terms) -> dict:
